@@ -11,6 +11,7 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     EmptyCandidateSet,
+    InvalidArgument,
     NoAtomAtZero,
     NotUniformlyDiscrete,
     OutsideWindow,
@@ -103,10 +104,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApkitError", "ConfigError", "DimensionMismatch", "EmptyCandidateSet",
-    "NoAtomAtZero", "NotUniformlyDiscrete", "OutsideWindow",
-    "PsiNotNormalized", "RadiusExceedsWindow", "RegionOutsideWindow",
-    "SingularBasis", "SupportTooLarge", "TranslationExceedsWindow",
-    "WindowTooSmall",
+    "InvalidArgument", "NoAtomAtZero", "NotUniformlyDiscrete",
+    "OutsideWindow", "PsiNotNormalized", "RadiusExceedsWindow",
+    "RegionOutsideWindow", "SingularBasis", "SupportTooLarge",
+    "TranslationExceedsWindow", "WindowTooSmall",
     "DensityEstimate", "PointSet", "RegionSpec", "ball_volume",
     "count_in_region", "mean_nn_spacing", "metric_d", "read_pointset_csv",
     "relative_density_gap", "translate", "upper_density",

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvalidArgument,
     NoAtomAtZero,
     PsiNotNormalized,
     RadiusExceedsWindow,
@@ -32,11 +33,17 @@ _MAX_CODES = 2**62
 
 def _group_by_cell(locations: np.ndarray, cell: float):
     """Weighted grouping of rows by their floor-quantized cell."""
-    cells = np.floor(locations / cell).astype(np.int64)
+    cells = np.floor(locations / cell)
+    # bound before the cast: int64 conversion wraps silently
+    if not -_MAX_CODES < float(cells.min()) <= float(cells.max()) < _MAX_CODES:
+        raise InvalidArgument(
+            "cell coordinates out of range: non-finite locations or a "
+            "bin_tol too fine for their extent")
+    cells = cells.astype(np.int64)
     mins = cells.min(axis=0)
     extents = cells.max(axis=0) - mins + 1
     if np.prod(extents.astype(object)) >= _MAX_CODES:
-        raise ValueError("bin_tol too fine for the difference extent")
+        raise InvalidArgument("bin_tol too fine for the difference extent")
     strides = np.ones(len(extents), dtype=np.int64)
     for i in range(len(extents) - 2, -1, -1):
         strides[i] = strides[i + 1] * extents[i + 1]

@@ -9,6 +9,10 @@ class ApkitError(Exception):
     """Base class for all package errors."""
 
 
+class InvalidArgument(ApkitError, ValueError):
+    """An argument lies outside its documented range or is not finite."""
+
+
 class DimensionMismatch(ApkitError):
     """Operands live in different ambient dimensions."""
 

@@ -13,6 +13,8 @@ import itertools
 
 import numpy as np
 
+from .errors import InvalidArgument
+
 _MAX_CODES = 2**62
 
 
@@ -34,11 +36,18 @@ class GridIndex:
             self._order = np.empty(0, dtype=np.int64)
             self._codes = np.empty(0, dtype=np.int64)
             return
-        cells = np.floor(points / self.cell).astype(np.int64)
+        cells = np.floor(points / self.cell)
+        # bound before the cast: int64 conversion wraps silently
+        if not -_MAX_CODES < float(cells.min()) <= float(cells.max()) < _MAX_CODES:
+            raise InvalidArgument(
+                "cell coordinates out of range: non-finite points or a "
+                "cell_size too fine for their extent")
+        cells = cells.astype(np.int64)
         self._mins = cells.min(axis=0)
         self._extents = cells.max(axis=0) - self._mins + 1
         if np.prod(self._extents.astype(object)) >= _MAX_CODES:
-            raise ValueError("grid too fine for the point extent; increase cell_size")
+            raise InvalidArgument(
+                "grid too fine for the point extent; increase cell_size")
         strides = np.ones(self.dim, dtype=np.int64)
         for i in range(self.dim - 2, -1, -1):
             strides[i] = strides[i + 1] * self._extents[i + 1]

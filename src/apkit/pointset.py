@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     EmptyCandidateSet,
+    InvalidArgument,
     NotUniformlyDiscrete,
     RadiusExceedsWindow,
     RegionOutsideWindow,
@@ -184,6 +185,8 @@ class PointSet:
             self._validate()
 
     def _validate(self) -> None:
+        if not np.all(np.isfinite(self.points)):
+            raise InvalidArgument("point coordinates must be finite")
         w = self.window_radius * (1.0 + _REL_SLACK) + 1e-12
         if len(self) and float(np.max(self.norms())) > w:
             raise RegionOutsideWindow("points outside the declared window")
@@ -259,11 +262,21 @@ def metric_d(S: PointSet, S2: PointSet, tol: float = 1e-3) -> float:
     The predicate at scale ``a`` is evaluated on the window-clipped domain
     B_min(1/a, W-a) of each set so that it never consults points the other
     window cannot faithfully represent.
+
+    Each side makes one radius-METRIC_CAP grid query, from the points of the
+    widest domain (the one at ``a = tol``; domains shrink as ``a`` grows),
+    and keeps each point's least squared distance to the other set. Every
+    bisection step is then a masked comparison of those minima with a*a.
+    This gives the same answers as one radius-``a`` query per step: the
+    wider query visits the same query cells and every offset a radius-``a``
+    query visits, and it computes each squared distance with the same
+    float expression, so ``min d2 <= a*a`` holds exactly when some
+    ``d2 <= a*a`` would have been found.
     """
     if S.dim != S2.dim:
         raise DimensionMismatch("point sets live in different dimensions")
     if not (0.0 < tol < METRIC_CAP):
-        raise ValueError("tol must lie in (0, 1/sqrt(2))")
+        raise InvalidArgument("tol must lie in (0, 1/sqrt(2))")
     min_w = min(S.window_radius, S2.window_radius)
     if 1.0 / tol > min_w * (1.0 + _REL_SLACK):
         raise WindowTooSmall(
@@ -271,19 +284,25 @@ def metric_d(S: PointSet, S2: PointSet, tol: float = 1e-3) -> float:
             f"have {min_w:g}")
 
     cell = max(min(S.hardcore_radius, S2.hardcore_radius), 0.25)
-    grids = (S.grid(cell), S2.grid(cell))
-    norms = (S.norms(), S2.norms())
-    pts = (S.points, S2.points)
     windows = (S.window_radius, S2.window_radius)
+
+    def domain(side: int, a: float) -> float:
+        return min(1.0 / a, windows[1 - side] - a)
+
+    norms, best_d2 = [], []
+    for side, (own, other) in enumerate(((S, S2), (S2, S))):
+        sel = own.norms() <= domain(side, tol)
+        q = own.points[sel]
+        qi, pi = other.grid(cell).pairs_within(q, METRIC_CAP)
+        best = np.full(len(q), np.inf)
+        np.minimum.at(best, qi, np.sum((other.points[pi] - q[qi]) ** 2, axis=1))
+        norms.append(own.norms()[sel])
+        best_d2.append(best)
 
     def certified(a: float) -> bool:
         for side in (0, 1):
-            other = 1 - side
-            dom = min(1.0 / a, windows[other] - a)
-            sel = norms[side] <= dom
-            if not np.any(sel):
-                continue
-            if not bool(np.all(grids[other].any_within(pts[side][sel], a))):
+            if not bool(np.all(best_d2[side][norms[side] <= domain(side, a)]
+                               <= a * a)):
                 return False
         return True
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvalidArgument,
     OutsideWindow,
     RadiusExceedsWindow,
     SupportTooLarge,
@@ -99,7 +100,7 @@ def dbar(S: PointSet, S2: PointSet, radii, tol: float | None = None) -> float:
         tol = 1e-3 * r
     cap = r / 2.0
     if not (0 < tol < cap):
-        raise ValueError("tol must lie in (0, r/2)")
+        raise InvalidArgument("tol must lie in (0, r/2)")
     radii = np.sort(np.asarray(radii, dtype=float))
     min_w = min(S.window_radius, S2.window_radius)
     if radii[-1] > min_w - cap:

@@ -155,3 +155,40 @@ def brute_mu_conv_f(points, shape, rho, amp, u) -> float:
     pts = np.asarray(points, dtype=float)
     u = np.asarray(u, dtype=float)
     return float(sum(brute_bump(shape, rho, amp, u - x) for x in pts))
+
+
+def brute_metric_d(A, wa: float, B, wb: float, tol: float) -> float:
+    """Scale metric by a quadratic scan at every bisection scale.
+
+    A scale a covers when every point of each set with norm at most
+    min(1/a, other window - a) has a point of the other set whose squared
+    distance is at most a*a. Same bisection schedule as the library.
+    """
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    cap = 1.0 / math.sqrt(2.0)
+
+    def one_side(P, Q, w_other, a):
+        dom = min(1.0 / a, w_other - a)
+        for x in P:
+            if math.sqrt(float(np.sum(x * x))) > dom:
+                continue
+            if not np.any(np.sum((Q - x) ** 2, axis=1) <= a * a):
+                return False
+        return True
+
+    def covers(a):
+        return one_side(A, B, wb, a) and one_side(B, A, wa, a)
+
+    if covers(tol):
+        return tol
+    if not covers(cap):
+        return cap
+    lo, hi = tol, cap
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if covers(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi

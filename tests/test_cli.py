@@ -225,6 +225,31 @@ def test_metric_dimension_mismatch_exit_code(tmp_path, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("which, cfg", [
+    ("dbar", {"radii": [10, 20], "tol": 0.9}),
+    ("d", {"tol": 0.9}),
+])
+def test_metric_tol_out_of_range_exit_code(tmp_path, capsys, which, cfg):
+    a = write_set(tmp_path, ak.make_lattice([[1.0]], 40.0), "a.csv")
+    code = main(["metric", a, a, "--which", which,
+                 "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: tol must lie in")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_metric_non_finite_row_exit_code(tmp_path, capsys, bad):
+    a = tmp_path / "a.csv"
+    a.write_text(f"# dim=1\n# r=0.5\n# window=5\n0\n1\n{bad}\n")
+    cfg = write_config(tmp_path, {"radii": [2.0]})
+    code, _ = run(capsys, "metric", str(a), str(a), "--which", "dtilde",
+                  "--config", cfg, "--out", str(tmp_path))
+    assert code == 2
+
+
 def test_metric_missing_file_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, {"radii": [5.0]})
     code, _ = run(capsys, "metric", str(tmp_path / "nope.csv"),
@@ -269,6 +294,17 @@ def test_autocorr_radius_beyond_window_exit_code(tmp_path, capsys):
     code, _ = run(capsys, "autocorr", a, "--config", cfg,
                   "--out", str(tmp_path))
     assert code == 4
+
+
+def test_autocorr_bin_tol_too_fine_exit_code(tmp_path, capsys):
+    # 20 / 1e-19 cells would wrap around in an int64 cast
+    a = write_set(tmp_path, ak.make_lattice([[1.0]], 50.0), "a.csv")
+    cfg = write_config(tmp_path, {"radii": [10], "bin_tol": 1e-19})
+    code, doc = run(capsys, "autocorr", a, "--config", cfg,
+                    "--out", str(tmp_path))
+    assert code == 2
+    assert doc is None
+    assert not (tmp_path / "autocorr.csv").exists()
 
 
 def test_autocorr_requires_radii(tmp_path, capsys):

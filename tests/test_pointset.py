@@ -136,6 +136,122 @@ def test_metric_d_window_too_small():
         ak.metric_d(Z, Z, 1e-3)
 
 
+def test_metric_d_tol_out_of_range_is_invalid_argument():
+    Z = z_lattice(131.0)
+    for tol in (0.0, 0.75, -1e-3):
+        with pytest.raises(ak.InvalidArgument):
+            ak.metric_d(Z, Z, tol)
+
+
+CAP = 1.0 / math.sqrt(2.0)
+
+
+def lattice_points(dim: int, window: float) -> np.ndarray:
+    k = int(window) + 1
+    axes = [np.arange(-k, k + 1, dtype=float)] * dim
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, dim)
+    return pts[np.sqrt(np.sum(pts ** 2, axis=1)) <= window]
+
+
+def assert_matches_brute(A: ak.PointSet, B: ak.PointSet, tol: float) -> float:
+    got = ak.metric_d(A, B, tol)
+    want = oracles.brute_metric_d(A.points, A.window_radius,
+                                  B.points, B.window_radius, tol)
+    assert got == want
+    return got
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       tol=st.sampled_from([0.1, 0.125]),
+       jitter=st.floats(0.0, 0.3),
+       drop=st.floats(0.0, 0.1),
+       shift=st.floats(0.0, 1.0))
+def test_metric_d_matches_brute_on_translated_pairs(dim, seed, tol, jitter,
+                                                    drop, shift):
+    # jittered lattices with a few points dropped, translated by one shared
+    # node vector as dbar_c does
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    R = 2.0
+    W = 1.0 / tol + R + 0.5
+    base = lattice_points(dim, W - 0.5)
+    A = ak.PointSet(base + rng.uniform(-0.15, 0.15, base.shape), W, 0.35)
+    moved = base + rng.uniform(-jitter, jitter, base.shape)
+    B = ak.PointSet(moved[rng.uniform(size=len(moved)) >= drop], W, 0.35)
+    t = rng.normal(size=dim)
+    t *= shift * R / np.linalg.norm(t)
+    assert_matches_brute(ak.translate(A, t), ak.translate(B, t), tol)
+
+
+def bisection_midpoint(tol: float, bits) -> float:
+    """Last midpoint the bisection visits when its verdicts follow bits."""
+    lo, hi = tol, CAP
+    for bit in bits:
+        mid = 0.5 * (lo + hi)
+        if bit:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= tol:
+            break
+    return mid
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=12, deadline=None)
+@given(bits=st.lists(st.booleans(), min_size=1, max_size=5),
+       tol=st.sampled_from([0.05, 0.1]),
+       on_second_side=st.booleans())
+def test_metric_d_neighbour_at_a_bisection_midpoint(dim, bits, tol,
+                                                    on_second_side):
+    # one point moves off the origin by exactly a midpoint the bisection
+    # visits, so the predicate there compares a*a with a*a
+    m = bisection_midpoint(tol, bits)
+    W = 1.0 / tol + 1.0
+    base = lattice_points(dim, W)
+    moved = base.copy()
+    moved[np.all(base == 0.0, axis=1), 0] = m
+    A = ak.PointSet(base, W, 0.25)
+    B = ak.PointSet(moved, W, 0.25)
+    if on_second_side:
+        A, B = B, A
+    got = assert_matches_brute(A, B, tol)
+    assert m <= got <= m + tol
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=15, deadline=None)
+@given(tol=st.sampled_from([0.1, 0.125]),
+       bits=st.lists(st.booleans(), min_size=1, max_size=4),
+       at_window_edge=st.booleans(),
+       ulps=st.integers(-2, 2),
+       slack=st.floats(0.0, 0.25),
+       shrink=st.sampled_from([0.0, 0.5, 1.0]))
+def test_metric_d_point_near_clipped_domain_edge(dim, tol, bits,
+                                                 at_window_edge, ulps, slack,
+                                                 shrink):
+    # an unmatched point sits a few ulps from the domain radius
+    # min(1/a, W - a) at a scale the bisection visits; W is the window of
+    # the other set, and the point's own window may be smaller
+    W = 1.0 / tol + slack * tol
+    W_own = W - shrink * slack * tol
+    if at_window_edge:
+        x = W - tol
+    else:
+        x = 1.0 / bisection_midpoint(tol, bits)
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, math.copysign(math.inf, ulps)))
+    lone = np.zeros(dim)
+    lone[0] = x
+    base = lattice_points(dim, W_own)
+    base = base[np.sqrt(np.sum((base - lone) ** 2, axis=1)) > 1.0]
+    A = ak.PointSet(np.vstack([base, lone]), W_own, 0.5)
+    B = ak.PointSet(base, W, 0.5)
+    assert_matches_brute(A, B, tol)
+    assert_matches_brute(B, A, tol)
+
+
 # ---------------------------------------------------------------------------
 # density
 
@@ -229,3 +345,17 @@ def test_read_rejects_missing_headers(tmp_path):
     path.write_text("0.5\n1.5\n")
     with pytest.raises(ValueError):
         ak.read_pointset_csv(str(path))
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_read_rejects_non_finite_rows(tmp_path, bad):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# dim=1\n# r=0.5\n# window=5\n0\n1\n{bad}\n")
+    with pytest.raises(ak.InvalidArgument):
+        ak.read_pointset_csv(str(path))
+
+
+def test_pointset_rejects_non_finite_coordinates():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ak.InvalidArgument):
+            ak.PointSet([[0.0, 0.0], [1.0, bad]], 5.0, 0.5)

@@ -82,6 +82,13 @@ def test_dbar_symmetry():
     assert ak.dbar(Z, Zs, RADII) == pytest.approx(ak.dbar(Zs, Z, RADII))
 
 
+def test_dbar_tol_out_of_range_is_invalid_argument():
+    Z = z_lattice()
+    for tol in (0.5, 0.9, 0.0):
+        with pytest.raises(ak.InvalidArgument):
+            ak.dbar(Z, Z, RADII, tol)
+
+
 def test_dbar_requires_shared_hardcore():
     Z = z_lattice()
     other = ak.PointSet(Z.points, Z.window_radius, 0.5, validate=False)
@@ -119,6 +126,23 @@ def test_dbar_c_window_too_small():
     Z = ak.make_lattice([[1.0]], 50.0)
     with pytest.raises(ak.WindowTooSmall):
         ak.dbar_c(Z, Z, 24.0)
+
+
+def test_dbar_c_2d_shifted_lattice_tracks_shift():
+    # every translate of the pair Z^2, Z^2 - s is covered exactly at |s|,
+    # so each node's metric_d lies in [|s|, |s| + tol]
+    s = np.array([0.1, 0.05])
+    basis = [[1.0, 0.0], [0.0, 1.0]]
+    R, tol = 3.0, 0.1
+    W = R + 1.0 / tol + 0.5
+    Z = ak.make_lattice(basis, W)
+    Zs = ak.translate(ak.make_lattice(basis, W + float(np.linalg.norm(s))), s)
+    rep = ak.dbar_c(Z, Zs, R, quad_points=8, tol=tol)
+    shift = float(np.linalg.norm(s))
+    assert np.all(rep.per_radius >= shift)
+    assert np.all(rep.per_radius <= shift + tol)
+    assert rep.converged
+    assert rep.pitch == pytest.approx(2.0 * R / 8)
 
 
 # ---------------------------------------------------------------------------
