@@ -126,6 +126,9 @@ class WeightedAtomMeasure:
         self.weights = weights[order]
         self.bin_tol = float(bin_tol)
         if validate:
+            if not (np.all(np.isfinite(self.weights))
+                    and np.all(np.isfinite(self.locations))):
+                raise InvalidArgument("atom weights and locations must be finite")
             if np.any(self.weights <= 0):
                 raise ValueError("weights must be strictly positive")
             if len(self.locations) > 1:

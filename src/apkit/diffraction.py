@@ -449,13 +449,15 @@ def criterion_almost_periods(S: PointSet, eps: float, t_candidates, radii, *,
                            "densities": [float(v) for v in densities]})
 
 
-def _profile(mu: WeightedAtomMeasure, f: TestFunction,
+def _profile(mu: WeightedAtomMeasure, f: TestFunction, grid: GridIndex,
              pts: np.ndarray) -> np.ndarray:
-    """g(u) = sum of weight * f(u - location) at each query point."""
+    """g(u) = sum of weight * f(u - location) at each query point.
+
+    ``grid`` indexes ``mu.locations``; callers build it once per measure.
+    """
     out = np.zeros(len(pts))
     if len(mu) == 0 or len(pts) == 0:
         return out
-    grid = GridIndex(mu.locations, max(f.support_radius, mu.bin_tol))
     qi, pi = grid.pairs_within(pts - f.center, f.support_radius)
     if qi.size:
         np.add.at(out, qi, mu.weights[pi] * f(pts[qi] - mu.locations[pi]))
@@ -481,11 +483,12 @@ def bohr_test_mu_conv_f(gamma, f: TestFunction, eps: float, t_candidates,
         raise DimensionMismatch("candidate or probe dimension differs")
     if search_radius is None:
         search_radius = float(np.max(np.sqrt(np.sum(cand ** 2, axis=1))))
-    g0 = _profile(mu, f, probes)
+    grid = GridIndex(mu.locations, max(f.support_radius, mu.bin_tol))
+    g0 = _profile(mu, f, grid, probes)
     accepted_rows = []
     sups = []
     for t in cand:
-        gt = _profile(mu, f, probes - t)
+        gt = _profile(mu, f, grid, probes - t)
         sup = float(np.max(np.abs(g0 - gt)))
         sups.append(sup)
         if sup < eps:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import os
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,6 +182,8 @@ class PointSet:
         self.window_radius = float(window_radius)
         self.hardcore_radius = float(hardcore_radius)
         self._norms = None
+        self._origin = None   # (parent, t, keep) when made by translate
+        self._near = None     # metric_d's cached neighbour pairs
         if validate:
             self._validate()
 
@@ -236,7 +239,13 @@ def count_in_region(S: PointSet, region: RegionSpec) -> int:
 
 
 def translate(S: PointSet, t) -> PointSet:
-    """The set S - t, faithfully windowed to radius window_radius - |t|."""
+    """The set S - t, faithfully windowed to radius window_radius - |t|.
+
+    The result records its provenance ``(S, t, keep)``: the parent, the
+    shift and the mask of parent rows that survive the window clip. The
+    result's points are exactly ``S.points[keep] - t``, re-sorted, so
+    ``metric_d`` can work from the parent's neighbour pairs.
+    """
     t = np.asarray(t, dtype=float).reshape(-1)
     if len(t) != S.dim:
         raise DimensionMismatch("translation vector has wrong dimension")
@@ -247,7 +256,74 @@ def translate(S: PointSet, t) -> PointSet:
     new_w = max(0.0, S.window_radius - tnorm)
     shifted = S.points - t
     keep = np.sum(shifted ** 2, axis=1) <= (new_w * (1.0 + _REL_SLACK)) ** 2 + 1e-300
-    return PointSet(shifted[keep], new_w, S.hardcore_radius, validate=False)
+    out = PointSet(shifted[keep], new_w, S.hardcore_radius, validate=False)
+    out._origin = (S, t, keep)
+    return out
+
+
+def _near_pairs(A: PointSet, B: PointSet):
+    """Rows (of A, of B) whose points are within METRIC_CAP + margin.
+
+    The margin covers every pair that comes within METRIC_CAP after both
+    sets are shifted by a common t. With u = 2**-53 and M bounding all
+    |coordinates| and |t_i| (translate keeps |t| <= window), each shifted
+    coordinate fl(x - t) is within 2uM of x - t, so each component of the
+    shifted difference is within 4uM + u|component| of y - x. A shifted
+    squared distance <= METRIC_CAP**2 therefore puts |y - x| within about
+    sqrt(dim) * u * (4M + 3) of METRIC_CAP, and one more rounding of the
+    unshifted squared distance adds less than that again. 1e-9 * (1 + M),
+    with M taken as the larger window plus the largest |coordinate|,
+    exceeds this about 10**6 / sqrt(dim) times over. It does not depend on
+    t, so every translate of the same pair of parents hits the cache.
+
+    The list is cached on A for the last B it served, checked by identity;
+    B is held weakly so no reference cycle forms.
+    """
+    near = A._near
+    if near is not None and near[0]() is B:
+        return near[1], near[2]
+    reach = max(A.window_radius, B.window_radius)
+    for P in (A, B):
+        if len(P):
+            reach = max(reach, float(np.max(np.abs(P.points))))
+    margin = 1e-9 * (1.0 + reach)
+    cell = max(min(A.hardcore_radius, B.hardcore_radius), 0.25)
+    qi, pi = B.grid(cell).pairs_within(A.points, METRIC_CAP + margin)
+    A._near = (weakref.ref(B), qi, pi)
+    return qi, pi
+
+
+def _nearest_d2(S: PointSet, S2: PointSet):
+    """Each point's norm and least squared distance to the other set.
+
+    Returns ``[(norms, best), (norms2, best2)]`` over the points of S and of
+    S2 (in their parents' row order when they are translates by a common
+    shift). ``best`` is inf for a point with no partner within METRIC_CAP.
+    Every value equals the one computed on S's and S2's own coordinates.
+    """
+    # each set is parent.points[keep] - t: two translates by equal shifts
+    # resolve to their parents, anything else to itself with t = 0 and
+    # every row kept (x - 0.0 == x bitwise)
+    oa, ob = S._origin, S2._origin
+    if oa is None or ob is None or not np.array_equal(oa[1], ob[1]):
+        oa, ob = ((P, np.zeros(P.dim), np.ones(len(P), dtype=bool))
+                  for P in (S, S2))
+    (ra, ta, ka), (rb, tb, kb) = oa, ob
+    qi, pi = _near_pairs(ra, rb)
+    # bitwise the coordinates translate produced
+    pa, pb = ra.points - ta, rb.points - tb
+    live = ka[qi] & kb[pi]
+    qi, pi = qi[live], pi[live]
+    # pairs_within's own expression; (a - b)**2 == (b - a)**2 bitwise, so
+    # one d2 serves both sides
+    d2 = np.sum((pb[pi] - pa[qi]) ** 2, axis=1)
+    close = d2 <= METRIC_CAP * METRIC_CAP
+    out = []
+    for pts, keep, rows in ((pa, ka, qi), (pb, kb, pi)):
+        best = np.full(len(pts), np.inf)
+        np.minimum.at(best, rows[close], d2[close])
+        out.append((np.sqrt(np.sum(pts[keep] ** 2, axis=1)), best[keep]))
+    return out
 
 
 def metric_d(S: PointSet, S2: PointSet, tol: float = 1e-3) -> float:
@@ -263,15 +339,19 @@ def metric_d(S: PointSet, S2: PointSet, tol: float = 1e-3) -> float:
     B_min(1/a, W-a) of each set so that it never consults points the other
     window cannot faithfully represent.
 
-    Each side makes one radius-METRIC_CAP grid query, from the points of the
-    widest domain (the one at ``a = tol``; domains shrink as ``a`` grows),
-    and keeps each point's least squared distance to the other set. Every
-    bisection step is then a masked comparison of those minima with a*a.
-    This gives the same answers as one radius-``a`` query per step: the
-    wider query visits the same query cells and every offset a radius-``a``
-    query visits, and it computes each squared distance with the same
-    float expression, so ``min d2 <= a*a`` holds exactly when some
-    ``d2 <= a*a`` would have been found.
+    Each point's least squared distance to the other set is computed once,
+    and every bisection step is a masked comparison of those minima with
+    a*a. The neighbour pairs come from one query per pair of root sets:
+    when S and S2 are translates by the same t (as in ``dbar_c``), the
+    roots are their parents and all translates of that pair share one
+    cached pair list; otherwise the roots are S and S2 themselves. The
+    query radius is METRIC_CAP plus a margin that covers rounding under
+    any shift. Each distance is then recomputed from the translated
+    coordinates ``parent.points - t``, which are bitwise those of S and S2,
+    with ``pairs_within``'s own float expression, and pairs beyond
+    METRIC_CAP are dropped. So the minima equal those of a radius-METRIC_CAP
+    query on S and S2 directly, and ``min d2 <= a*a`` holds exactly when a
+    radius-``a`` query would have found some ``d2 <= a*a``.
     """
     if S.dim != S2.dim:
         raise DimensionMismatch("point sets live in different dimensions")
@@ -283,21 +363,17 @@ def metric_d(S: PointSet, S2: PointSet, tol: float = 1e-3) -> float:
             f"covering check at scale tol={tol:g} needs window >= {1.0 / tol:g}, "
             f"have {min_w:g}")
 
-    cell = max(min(S.hardcore_radius, S2.hardcore_radius), 0.25)
     windows = (S.window_radius, S2.window_radius)
 
     def domain(side: int, a: float) -> float:
         return min(1.0 / a, windows[1 - side] - a)
 
+    # domains shrink as a grows, so the one at a = tol holds all the others
     norms, best_d2 = [], []
-    for side, (own, other) in enumerate(((S, S2), (S2, S))):
-        sel = own.norms() <= domain(side, tol)
-        q = own.points[sel]
-        qi, pi = other.grid(cell).pairs_within(q, METRIC_CAP)
-        best = np.full(len(q), np.inf)
-        np.minimum.at(best, qi, np.sum((other.points[pi] - q[qi]) ** 2, axis=1))
-        norms.append(own.norms()[sel])
-        best_d2.append(best)
+    for side, (own_norms, best) in enumerate(_nearest_d2(S, S2)):
+        sel = own_norms <= domain(side, tol)
+        norms.append(own_norms[sel])
+        best_d2.append(best[sel])
 
     def certified(a: float) -> bool:
         for side in (0, 1):

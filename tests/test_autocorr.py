@@ -58,6 +58,24 @@ def test_measure_validation_rejects_close_atoms():
                                np.array([1.0, 1.0]), 1e-3)
 
 
+@pytest.mark.parametrize("locs, wts", [
+    ([[0.0], [1.0]], [1.0, math.nan]),
+    ([[0.0], [1.0]], [1.0, math.inf]),
+    ([[0.0], [math.nan]], [1.0, 1.0]),
+    ([[0.0], [-math.inf]], [1.0, 1.0]),
+])
+def test_measure_validation_rejects_non_finite(locs, wts):
+    with pytest.raises(ak.InvalidArgument, match="finite"):
+        ak.WeightedAtomMeasure(1, np.array(locs), np.array(wts), 0.1)
+
+
+def test_read_measure_csv_rejects_nan_weight(tmp_path):
+    path = tmp_path / "mu.csv"
+    path.write_text("# dim=1\n# bin_tol=0.001\n0,1\n1,nan\n")
+    with pytest.raises(ak.InvalidArgument):
+        ak.read_measure_csv(str(path))
+
+
 def test_measure_mass_queries():
     mu = ak.WeightedAtomMeasure(1, np.array([[0.0], [1.0]]),
                                 np.array([2.0, 0.5]), 1e-3)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import apkit as ak
 import oracles
+from apkit import pointset
 
 
 def z_lattice(window: float) -> ak.PointSet:
@@ -250,6 +251,80 @@ def test_metric_d_point_near_clipped_domain_edge(dim, tol, bits,
     B = ak.PointSet(base, W, 0.5)
     assert_matches_brute(A, B, tol)
     assert_matches_brute(B, A, tol)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_metric_d_matches_brute_on_unequal_shifts(dim):
+    # translates by different vectors, or a translate against an
+    # untranslated set, do not share parents' pairs
+    rng = np.random.Generator(np.random.Philox(key=11))
+    base = lattice_points(dim, 11.5)
+    A = ak.PointSet(base + rng.uniform(-0.15, 0.15, base.shape), 12.0, 0.35)
+    B = ak.PointSet(base + rng.uniform(-0.25, 0.25, base.shape), 12.0, 0.35)
+    t1 = np.full(dim, 0.75)
+    t2 = np.full(dim, -0.5)
+    assert_matches_brute(ak.translate(A, t1), ak.translate(B, t2), 0.125)
+    assert_matches_brute(ak.translate(A, t1), B, 0.125)
+    assert_matches_brute(A, ak.translate(B, t1), 0.125)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_metric_d_pair_cache_follows_the_second_set(dim):
+    # the same first set against two different second sets, directly and
+    # through common translates, then back: no stale neighbour pairs
+    A = ak.PointSet(lattice_points(dim, 12.0), 12.0, 0.5)
+    B = ak.PointSet(lattice_points(dim, 11.0) + 0.05, 11.5, 0.5)
+    C = ak.PointSet(lattice_points(dim, 9.5) + 0.3, 10.0, 0.5)
+    t = np.full(dim, 0.4)
+    seen = set()
+    for other in (B, C, B):
+        seen.add(assert_matches_brute(A, other, 0.125))
+        assert_matches_brute(ak.translate(A, t), ak.translate(other, t), 0.125)
+    assert len(seen) == 2
+
+
+def brute_nearest_d2(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Least squared distance from each row of P to Q, inf beyond CAP."""
+    d2 = np.sum((Q[None, :, :] - P[:, None, :]) ** 2, axis=2)
+    d2[d2 > CAP * CAP] = np.inf
+    return d2.min(axis=1)
+
+
+def crossing_pair():
+    """(x, y, t) with (y - x)**2 > CAP**2 but ((y - t) - (x - t))**2 <= CAP**2.
+
+    Searches dyadic x, y a few ulps above x + CAP, and shifts t.
+    """
+    for i in range(1, 256):
+        x = 1.0 + i / 64.0
+        y = x + CAP
+        for _ in range(3):
+            y = float(np.nextafter(y, math.inf))
+            if (y - x) ** 2 <= CAP * CAP:
+                continue
+            for j in range(1, 128):
+                t = j / 16.0 + 0.1
+                if ((y - t) - (x - t)) ** 2 <= CAP * CAP:
+                    return x, y, t
+    return None
+
+
+def test_metric_d_pairs_that_reach_the_cap_only_after_translation():
+    # the pair is beyond CAP on the parents' coordinates, within it on the
+    # translated ones; the parents' pair query must still find it. Such a
+    # pair only moves the verdict at a = CAP, and metric_d returns CAP
+    # either way, so the per-point minima are compared instead of the value
+    hit = crossing_pair()
+    assert hit is not None
+    x, y, t = hit
+    A = ak.PointSet([[x]], 12.0, 0.5)
+    B = ak.PointSet([[y]], 12.0, 0.5)
+    At, Bt = ak.translate(A, [t]), ak.translate(B, [t])
+    (_, best_a), (_, best_b) = pointset._nearest_d2(At, Bt)
+    want = brute_nearest_d2(At.points, Bt.points)
+    assert np.isfinite(want).all()
+    assert best_a.tolist() == want.tolist()
+    assert best_b.tolist() == brute_nearest_d2(Bt.points, At.points).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import apkit as ak
 import oracles
+from apkit import pseudometrics
 
 
 RADII = [40.0, 60.0, 80.0]
@@ -143,6 +144,39 @@ def test_dbar_c_2d_shifted_lattice_tracks_shift():
     assert np.all(rep.per_radius <= shift + tol)
     assert rep.converged
     assert rep.pitch == pytest.approx(2.0 * R / 8)
+
+
+@pytest.mark.parametrize("dim, quad_points", [(1, 9), (2, 5)])
+@pytest.mark.parametrize("pre_shift", [None, 0.37])
+def test_dbar_c_matches_brute_metric_d_at_every_node(dim, quad_points,
+                                                     pre_shift):
+    # per_radius equals the running means of the brute-force metric at each
+    # node's translates; with pre_shift the inputs are themselves
+    # translates, so every node compares translates of translates
+    rng = np.random.Generator(np.random.Philox(key=dim))
+    R, tol = 1.5, 0.125
+    W = R + 1.0 / tol + 1.0
+    k = int(W) + 1
+    axes = [np.arange(-k, k + 1, dtype=float)] * dim
+    base = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, dim)
+    base = base[np.sqrt(np.sum(base ** 2, axis=1)) <= W - 0.5]
+    A = ak.PointSet(base + rng.uniform(-0.15, 0.15, base.shape), W, 0.35)
+    B = ak.PointSet(base + rng.uniform(-0.3, 0.3, base.shape), W, 0.35)
+    if pre_shift is not None:
+        s = np.full(dim, pre_shift / np.sqrt(dim))
+        A, B = ak.translate(A, s), ak.translate(B, s)
+    rep = ak.dbar_c(A, B, R, quad_points=quad_points, tol=tol)
+    nodes, _ = pseudometrics._midpoint_grid(R, dim, quad_points)
+    vals = []
+    for t in nodes:
+        At, Bt = ak.translate(A, t), ak.translate(B, t)
+        vals.append(oracles.brute_metric_d(At.points, At.window_radius,
+                                           Bt.points, Bt.window_radius, tol))
+    vals = np.array(vals)
+    assert len(set(vals.tolist())) > 1
+    norms = np.sqrt(np.sum(nodes ** 2, axis=1))
+    want = [float(np.mean(vals[norms <= rr])) for rr in rep.radius_schedule]
+    assert rep.per_radius.tolist() == want
 
 
 # ---------------------------------------------------------------------------
