@@ -86,6 +86,7 @@ from .generators import (
     PalmIntensityEstimate,
     ProcessSampler,
     SinusoidalDeformation,
+    WindowGraze,
     cut_and_project,
     default_palm_base,
     event_almost_periods,
@@ -126,9 +127,9 @@ __all__ = [
     "peak_span_gap", "periodogram", "write_periodogram_csv",
     "CutProjectConfig", "FIBONACCI_DENSITY", "FIBONACCI_MIN_GAP",
     "GOLDEN_RATIO", "PalmIntensityEstimate", "ProcessSampler",
-    "SinusoidalDeformation", "cut_and_project", "default_palm_base",
-    "event_almost_periods", "fibonacci_config", "lattice_covolume",
-    "make_lattice", "matern_effective_intensity",
+    "SinusoidalDeformation", "WindowGraze", "cut_and_project",
+    "default_palm_base", "event_almost_periods", "fibonacci_config",
+    "lattice_covolume", "make_lattice", "matern_effective_intensity",
     "palm_intensity", "rationality_report", "sample", "verify_acpalm",
     "CHECK_TAGS", "CheckResult", "run_checks",
 ]

@@ -23,31 +23,21 @@ from .errors import (
     RadiusExceedsWindow,
     WindowTooSmall,
 )
-from .gridindex import GridIndex
-from .pointset import PointSet, RegionSpec, ball_volume
+from .gridindex import GridIndex, _cell_codes
+from .pointset import (
+    PointSet,
+    RegionSpec,
+    _read_csv,
+    atomic_write_text,
+    ball_volume,
+)
 from .testfunc import TestFunction
 from .util import fmt_float, relative_spread
-
-_MAX_CODES = 2**62
 
 
 def _group_by_cell(locations: np.ndarray, cell: float):
     """Weighted grouping of rows by their floor-quantized cell."""
-    cells = np.floor(locations / cell)
-    # bound before the cast: int64 conversion wraps silently
-    if not -_MAX_CODES < float(cells.min()) <= float(cells.max()) < _MAX_CODES:
-        raise InvalidArgument(
-            "cell coordinates out of range: non-finite locations or a "
-            "bin_tol too fine for their extent")
-    cells = cells.astype(np.int64)
-    mins = cells.min(axis=0)
-    extents = cells.max(axis=0) - mins + 1
-    if np.prod(extents.astype(object)) >= _MAX_CODES:
-        raise InvalidArgument("bin_tol too fine for the difference extent")
-    strides = np.ones(len(extents), dtype=np.int64)
-    for i in range(len(extents) - 2, -1, -1):
-        strides[i] = strides[i + 1] * extents[i + 1]
-    codes = (cells - mins) @ strides
+    codes = _cell_codes(locations, cell, "bin_tol")[0]
     order = np.argsort(codes, kind="stable")
     codes = codes[order]
     starts = np.nonzero(np.concatenate([[True], codes[1:] != codes[:-1]]))[0]
@@ -435,30 +425,11 @@ def measure_to_csv(mu: WeightedAtomMeasure) -> str:
 
 
 def write_measure_csv(mu: WeightedAtomMeasure, path: str) -> None:
-    from .pointset import atomic_write_text
-
     atomic_write_text(path, measure_to_csv(mu))
 
 
 def read_measure_csv(path: str) -> WeightedAtomMeasure:
-    meta: dict[str, float] = {}
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, val = body.split("=", 1)
-                    meta[key.strip()] = float(val.strip())
-                continue
-            rows.append([float(v) for v in line.split(",")])
-    for key in ("dim", "bin_tol"):
-        if key not in meta:
-            raise ValueError(f"measure CSV missing '# {key}=' header")
-    dim = int(meta["dim"])
-    data = np.asarray(rows, dtype=float).reshape(len(rows), dim + 1)
+    meta, data = _read_csv(path, ("bin_tol",), extra_cols=1)
+    dim = data.shape[1] - 1
     return WeightedAtomMeasure(dim, data[:, :dim], data[:, dim],
                                meta["bin_tol"])

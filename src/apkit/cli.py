@@ -346,13 +346,11 @@ def cmd_palm(args) -> int:
     if "acpalm" in cfg:
         ac = cfg["acpalm"]
         rep = verify_acpalm(p, A, ac["radii"], ac.get("n_seeds", 20),
-                            ac.get("n_palm_samples", 200),
-                            threads=args.threads)
+                            ac.get("n_palm_samples", 200))
         doc = {"command": "palm", "mode": "acpalm", **rep}
     else:
         B = (RegionSpec.from_json(cfg["base"]) if "base" in cfg else None)
-        est = palm_intensity(p, A, B, cfg.get("n_samples", 200),
-                             threads=args.threads)
+        est = palm_intensity(p, A, B, cfg.get("n_samples", 200))
         doc = {"command": "palm", "mode": "intensity", **est.to_json()}
     _emit(doc, args.out, "palm.json")
     return 0
@@ -368,7 +366,7 @@ def cmd_verify(args) -> int:
         raise ConfigError(
             f"unknown tag {args.only!r}; known: {', '.join(CHECK_TAGS)}")
     summary = run_checks(seed=args.seed if args.seed is not None else 0,
-                         only=args.only, threads=args.threads,
+                         only=args.only,
                          peak_threshold_scale=cfg.get("peak_threshold_scale"))
     _emit(summary, args.out, "verify.json")
     return 0 if summary["all_passed"] else 1
@@ -383,8 +381,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config document")
     common.add_argument("--seed", type=int, help="sampler seed override")
     common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--threads", type=int,
-                        help="worker threads (default: APK_THREADS or 1)")
     common.add_argument("--only", help="verify: run a single tagged check")
 
     top = argparse.ArgumentParser(

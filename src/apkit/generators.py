@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -27,7 +26,6 @@ from .errors import (
 )
 from .gridindex import GridIndex
 from .pointset import PointSet, RegionSpec, ball_volume
-from .util import thread_count
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -284,6 +282,18 @@ def _enumerate_strip(cfg: CutProjectConfig):
     return points, grazes
 
 
+class WindowGraze(UserWarning):
+    """Lattice translates lay exactly on the window boundary."""
+
+    def __init__(self, count: int):
+        super().__init__(count)
+        self.count = count
+
+    def __str__(self) -> str:
+        return (f"{self.count} lattice translate(s) lie exactly on the window "
+                "boundary; membership used the half-open/closed convention")
+
+
 def cut_and_project(cfg: CutProjectConfig) -> PointSet:
     """Project the strip's lattice points to physical space.
 
@@ -303,10 +313,7 @@ def cut_and_project(cfg: CutProjectConfig) -> PointSet:
             + "; ".join(findings), stacklevel=2)
     points, grazes = _enumerate_strip(cfg)
     if grazes:
-        warnings.warn(
-            f"{grazes} lattice translate(s) lie exactly on the window "
-            "boundary; membership used the half-open/closed convention",
-            stacklevel=2)
+        warnings.warn(WindowGraze(grazes), stacklevel=2)
     if len(points) < 2:
         return PointSet(points, cfg.output_radius, max(cfg.output_radius, 1.0),
                         validate=False)
@@ -317,6 +324,26 @@ def cut_and_project(cfg: CutProjectConfig) -> PointSet:
         raise NotUniformlyDiscrete(
             "deformation collapsed distinct projections (measured r = 0)")
     return PointSet(points, cfg.output_radius, r)
+
+
+def _project_counting_grazes(cfg: CutProjectConfig) -> tuple[PointSet, int]:
+    """cut_and_project with its WindowGraze counted, not warned.
+
+    The half-open window convention decides grazing translates
+    deterministically, so callers that expect them (the zero-offset golden
+    strip has one at each end) read the count instead. Every other warning
+    is re-emitted.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        S = cut_and_project(cfg)
+    grazes = 0
+    for c in caught:
+        if isinstance(c.message, WindowGraze):
+            grazes += c.message.count
+        else:
+            warnings.warn_explicit(c.message, c.category, c.filename, c.lineno)
+    return S, grazes
 
 
 def fibonacci_config(output_radius: float,
@@ -459,17 +486,8 @@ def sample(p: ProcessSampler, index: int = 0) -> PointSet:
         for _ in range(3):
             u = rng.random(p.cut_project.n)
             cfg = replace(p.cut_project, torus_offset=u, output_radius=W)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                out = cut_and_project(cfg)
-            grazed = False
-            for c in caught:
-                if "window boundary" in str(c.message):
-                    grazed = True
-                else:
-                    warnings.warn_explicit(c.message, c.category, c.filename,
-                                           c.lineno)
-            if not grazed:
+            out, grazes = _project_counting_grazes(cfg)
+            if not grazes:
                 return out
             # measure-zero event: a translate landed exactly on the window
             # boundary; redraw the offset rather than depend on tie-breaking
@@ -558,8 +576,8 @@ def default_palm_base(dim: int) -> RegionSpec:
 
 
 def palm_intensity(p: ProcessSampler, A: RegionSpec,
-                   B: RegionSpec | None = None, n_samples: int = 200,
-                   threads: int | None = None) -> PalmIntensityEstimate:
+                   B: RegionSpec | None = None, n_samples: int = 200
+                   ) -> PalmIntensityEstimate:
     """Estimate the mean count in A seen from a typical point of the process.
 
     Averages (1/|B|) * sum over points x in B of card((sample - x) and A)
@@ -582,14 +600,8 @@ def palm_intensity(p: ProcessSampler, A: RegionSpec,
         anchors = chi.points[B.contains(chi.points)]
         return _count_diffs_in(chi, anchors, A) / volB
 
-    workers = thread_count(threads)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            vals = np.fromiter(ex.map(one, range(n_samples)), dtype=float,
-                               count=n_samples)
-    else:
-        vals = np.fromiter((one(i) for i in range(n_samples)), dtype=float,
-                           count=n_samples)
+    vals = np.fromiter((one(i) for i in range(n_samples)), dtype=float,
+                       count=n_samples)
     value = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(n_samples)) \
         if n_samples > 1 else math.inf
@@ -597,8 +609,7 @@ def palm_intensity(p: ProcessSampler, A: RegionSpec,
 
 
 def verify_acpalm(p: ProcessSampler, A: RegionSpec, radii, n_seeds: int = 20,
-                  n_palm_samples: int = 200,
-                  threads: int | None = None) -> dict:
+                  n_palm_samples: int = 200) -> dict:
     """Per-seed autocorrelation mass on A versus the Palm estimate.
 
     For each seed the pair-difference measure of the sample is evaluated on
@@ -606,7 +617,7 @@ def verify_acpalm(p: ProcessSampler, A: RegionSpec, radii, n_seeds: int = 20,
     intensity estimate. Returns a JSON-ready report with per-seed deviations.
     """
     radii = np.sort(np.asarray(radii, dtype=float))
-    palm = palm_intensity(p, A, n_samples=n_palm_samples, threads=threads)
+    palm = palm_intensity(p, A, n_samples=n_palm_samples)
     cutoff = A.outer_radius() + 1.0
 
     def one(i: int) -> list[float]:
@@ -614,12 +625,7 @@ def verify_acpalm(p: ProcessSampler, A: RegionSpec, radii, n_seeds: int = 20,
         return [finite_autocorrelation(chi, float(R), diff_cutoff=cutoff)
                 .mass_in_region(A) for R in radii]
 
-    workers = thread_count(threads)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            series = list(ex.map(one, range(n_seeds)))
-    else:
-        series = [one(i) for i in range(n_seeds)]
+    series = [one(i) for i in range(n_seeds)]
     finals = np.array([s[-1] for s in series])
     deviations = finals - palm.value
     return {
@@ -647,8 +653,8 @@ def _wilson_upper(successes: int, n: int, z: float = 1.959964) -> float:
 def event_almost_periods(p: ProcessSampler, R: float, eps: float,
                          t_candidates, n_samples: int = 500, *,
                          gap_bound: float,
-                         search_radius: float | None = None,
-                         threads: int | None = None) -> CriterionReport:
+                         search_radius: float | None = None
+                         ) -> CriterionReport:
     """Monte Carlo occupancy-event almost periods of the process.
 
     For each candidate t, estimates the probability that exactly one of
@@ -673,12 +679,7 @@ def event_almost_periods(p: ProcessSampler, R: float, eps: float,
         occt = np.any(d2 <= R * R, axis=1)
         return (occt != occ0).astype(np.int64)
 
-    workers = thread_count(threads)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            counts = sum(ex.map(one, range(n_samples)))
-    else:
-        counts = sum(one(i) for i in range(n_samples))
+    counts = sum(one(i) for i in range(n_samples))
     counts = np.asarray(counts)
     phat = counts / n_samples
     wilson = [_wilson_upper(int(c), n_samples) for c in counts]

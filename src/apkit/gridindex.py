@@ -18,6 +18,29 @@ from .errors import InvalidArgument
 _MAX_CODES = 2**62
 
 
+def _cell_codes(points: np.ndarray, cell: float, knob: str):
+    """Row-major int64 codes of the floor cells of nonempty (N, dim) rows.
+
+    Returns (codes, mins, extents, strides). Raises InvalidArgument, naming
+    `knob`, when a cell coordinate or the code range would overflow int64.
+    """
+    cells = np.floor(points / cell)
+    # bound before the cast: int64 conversion wraps silently
+    if not -_MAX_CODES < float(cells.min()) <= float(cells.max()) < _MAX_CODES:
+        raise InvalidArgument(
+            "cell coordinates out of range: non-finite coordinates or a "
+            f"{knob} too fine for their extent")
+    cells = cells.astype(np.int64)
+    mins = cells.min(axis=0)
+    extents = cells.max(axis=0) - mins + 1
+    if np.prod(extents.astype(object)) >= _MAX_CODES:
+        raise InvalidArgument(f"{knob} too fine for the coordinate extent")
+    strides = np.ones(len(extents), dtype=np.int64)
+    for i in range(len(extents) - 2, -1, -1):
+        strides[i] = strides[i + 1] * extents[i + 1]
+    return (cells - mins) @ strides, mins, extents, strides
+
+
 class GridIndex:
     def __init__(self, points: np.ndarray, cell_size: float):
         points = np.asarray(points, dtype=float)
@@ -36,23 +59,8 @@ class GridIndex:
             self._order = np.empty(0, dtype=np.int64)
             self._codes = np.empty(0, dtype=np.int64)
             return
-        cells = np.floor(points / self.cell)
-        # bound before the cast: int64 conversion wraps silently
-        if not -_MAX_CODES < float(cells.min()) <= float(cells.max()) < _MAX_CODES:
-            raise InvalidArgument(
-                "cell coordinates out of range: non-finite points or a "
-                "cell_size too fine for their extent")
-        cells = cells.astype(np.int64)
-        self._mins = cells.min(axis=0)
-        self._extents = cells.max(axis=0) - self._mins + 1
-        if np.prod(self._extents.astype(object)) >= _MAX_CODES:
-            raise InvalidArgument(
-                "grid too fine for the point extent; increase cell_size")
-        strides = np.ones(self.dim, dtype=np.int64)
-        for i in range(self.dim - 2, -1, -1):
-            strides[i] = strides[i + 1] * self._extents[i + 1]
-        self._strides = strides
-        codes = (cells - self._mins) @ strides
+        codes, self._mins, self._extents, self._strides = _cell_codes(
+            points, self.cell, "cell_size")
         self._order = np.argsort(codes, kind="stable")
         self._codes = codes[self._order]
 

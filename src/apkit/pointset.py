@@ -63,16 +63,18 @@ class RegionSpec:
     @staticmethod
     def ball(center, radius: float) -> "RegionSpec":
         center = np.asarray(center, dtype=float).reshape(-1)
-        if radius < 0:
-            raise ValueError("ball radius must be >= 0")
+        if not (np.all(np.isfinite(center)) and 0 <= radius < math.inf):
+            raise InvalidArgument(
+                "ball needs a finite center and a finite radius >= 0")
         return RegionSpec(kind="ball", center=center, radius=float(radius))
 
     @staticmethod
     def box(lo, hi) -> "RegionSpec":
         lo = np.asarray(lo, dtype=float).reshape(-1)
         hi = np.asarray(hi, dtype=float).reshape(-1)
-        if lo.shape != hi.shape or np.any(hi <= lo):
-            raise ValueError("box needs lo < hi componentwise")
+        if lo.shape != hi.shape or not np.all(
+                np.isfinite(lo) & np.isfinite(hi) & (lo < hi)):
+            raise InvalidArgument("box needs finite lo < hi componentwise")
         return RegionSpec(kind="box", lo=lo, hi=hi)
 
     @property
@@ -122,7 +124,7 @@ class RegionSpec:
             return RegionSpec.ball(doc["center"], doc["radius"])
         if doc.get("kind") == "box":
             return RegionSpec.box(doc["lo"], doc["hi"])
-        raise ValueError("region kind must be 'ball' or 'box'")
+        raise InvalidArgument("region kind must be 'ball' or 'box'")
 
 
 @dataclass
@@ -502,24 +504,47 @@ def write_pointset_csv(S: PointSet, path: str) -> None:
     atomic_write_text(path, pointset_to_csv(S))
 
 
-def read_pointset_csv(path: str) -> PointSet:
+def _read_csv(path: str, keys: tuple[str, ...], extra_cols: int = 0):
+    """Parse `# key=value` header lines and comma-separated float rows.
+
+    Every file carries `# dim=`; each data row has dim + extra_cols fields.
+    Returns the header dict and an (N, dim + extra_cols) float array.
+    Raises InvalidArgument, naming the line, for a missing header, a
+    non-numeric field or a row of the wrong width.
+    """
     meta: dict[str, float] = {}
-    rows = []
+    rows: list[tuple[int, list[float]]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, val = body.split("=", 1)
-                    meta[key.strip()] = float(val.strip())
-                continue
-            rows.append([float(v) for v in line.split(",")])
-    for key in ("dim", "r", "window"):
+            try:
+                if line.startswith("#"):
+                    body = line[1:].strip()
+                    if "=" in body:
+                        key, val = body.split("=", 1)
+                        meta[key.strip()] = float(val.strip())
+                    continue
+                rows.append((lineno, [float(v) for v in line.split(",")]))
+            except ValueError:
+                raise InvalidArgument(
+                    f"line {lineno}: non-numeric field in {line!r}") from None
+    for key in ("dim", *keys):
         if key not in meta:
-            raise ValueError(f"pointset CSV missing '# {key}=' header")
-    dim = int(meta["dim"])
-    pts = np.asarray(rows, dtype=float).reshape(len(rows), dim)
+            raise InvalidArgument(f"missing '# {key}=' header")
+    dim = meta["dim"]
+    if not (dim >= 1 and dim.is_integer()):
+        raise InvalidArgument(f"'# dim=' must be a positive integer, got {dim:g}")
+    cols = int(dim) + extra_cols
+    for lineno, row in rows:
+        if len(row) != cols:
+            raise InvalidArgument(
+                f"line {lineno}: {len(row)} fields, expected {cols}")
+    data = np.array([row for _, row in rows], dtype=float).reshape(len(rows), cols)
+    return meta, data
+
+
+def read_pointset_csv(path: str) -> PointSet:
+    meta, pts = _read_csv(path, ("r", "window"))
     return PointSet(pts, window_radius=meta["window"], hardcore_radius=meta["r"])

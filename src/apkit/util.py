@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 # Relative spread below which a tail of estimates counts as converged.
@@ -45,14 +43,3 @@ def fmt_float(x: float) -> str:
     """17 significant digits: enough to round-trip a double exactly."""
     return format(float(x), ".17g")
 
-
-def thread_count(requested: int | None = None) -> int:
-    """Resolve a worker count: explicit value, else APK_THREADS, else 1."""
-    if requested is not None and requested > 0:
-        return int(requested)
-    env = os.environ.get("APK_THREADS", "")
-    try:
-        n = int(env)
-        return n if n > 0 else 1
-    except ValueError:
-        return 1

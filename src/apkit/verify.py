@@ -10,7 +10,6 @@ run seed: identical seeds produce identical result documents.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,7 @@ from .generators import (
     GOLDEN_RATIO,
     ProcessSampler,
     SinusoidalDeformation,
-    cut_and_project,
+    _project_counting_grazes,
     event_almost_periods,
     fibonacci_config,
     make_lattice,
@@ -55,18 +54,6 @@ from .pseudometrics import dbar, dbar_c, dbar_f
 from .testfunc import TestFunction
 from .util import relative_spread
 
-CHECK_TAGS = (
-    "lattice_diffraction",
-    "lattice_autocorr",
-    "pair_functional",
-    "pseudometrics",
-    "criterion_coherence",
-    "acpalm",
-    "event_periods",
-    "palm_base",
-    "fibonacci",
-)
-
 
 @dataclass
 class CheckResult:
@@ -84,34 +71,11 @@ def _with_hardcore(S: PointSet, r: float) -> PointSet:
     return PointSet(S.points, S.window_radius, r, validate=False)
 
 
-def _project_canonical(cfg) -> tuple[PointSet, int]:
-    """cut_and_project with the known boundary grazes counted, not warned.
-
-    The golden-ratio strip with zero offset has exactly two lattice
-    translates on the window boundary; the half-open convention decides
-    them deterministically, so inside the checks the warning is an
-    expectation to verify rather than noise to surface. Unrelated warnings
-    are re-emitted.
-    """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        S = cut_and_project(cfg)
-    grazes = 0
-    for c in caught:
-        msg = str(c.message)
-        if "window boundary" in msg:
-            grazes += int(msg.split(" ", 1)[0])
-        else:
-            warnings.warn_explicit(c.message, c.category, c.filename, c.lineno)
-    return S, grazes
-
-
 # ---------------------------------------------------------------------------
 # 1. Lattice diffraction
 
 
-def check_lattice_diffraction(seed: int = 0, threads: int | None = None
-                              ) -> CheckResult:
+def check_lattice_diffraction(seed: int = 0) -> CheckResult:
     """Atom masses of the integer lattice: 1 at integer frequencies, 0 off."""
     S = make_lattice([[1.0]], 2000.0)
     radii = np.linspace(1000.0, 2000.0, 9)
@@ -134,8 +98,7 @@ def check_lattice_diffraction(seed: int = 0, threads: int | None = None
 # 2. Lattice autocorrelation
 
 
-def check_lattice_autocorr(seed: int = 0, threads: int | None = None
-                           ) -> CheckResult:
+def check_lattice_autocorr(seed: int = 0) -> CheckResult:
     """Pair measure of the integer lattice at R=1000 against closed forms."""
     R = 1000.0
     S = make_lattice([[1.0]], R)
@@ -175,14 +138,13 @@ _PAIR_PRESETS = (
 )
 
 
-def check_pair_functional(seed: int = 0, threads: int | None = None
-                          ) -> CheckResult:
+def check_pair_functional(seed: int = 0) -> CheckResult:
     """Two estimators of the same pair statistic must agree to 2%."""
     R = 200.0
     window = 210.0
     corpus = {
         "lattice": make_lattice([[1.0]], window),
-        "fibonacci": _project_canonical(fibonacci_config(window))[0],
+        "fibonacci": _project_counting_grazes(fibonacci_config(window))[0],
     }
     rows = []
     ok = True
@@ -231,8 +193,7 @@ def _unify_hardcore(*sets: PointSet) -> list[PointSet]:
     return [_with_hardcore(S, r) for S in sets]
 
 
-def check_pseudometrics(seed: int = 0, threads: int | None = None
-                        ) -> CheckResult:
+def check_pseudometrics(seed: int = 0) -> CheckResult:
     """Translation invariance, triangle inequality, shift co-convergence."""
     pool = _metric_pool(seed)
     rng = np.random.Generator(np.random.Philox(key=seed + 7))
@@ -333,8 +294,8 @@ def build_corpus(seed: int, window: float = 620.0) -> dict[str, PointSet]:
                             intensity=1.0, hardcore=0.5)
     return {
         "lattice": make_lattice([[1.0]], window),
-        "fibonacci": _project_canonical(fib)[0],
-        "deformed_fibonacci": _project_canonical(deformed)[0],
+        "fibonacci": _project_counting_grazes(fib)[0],
+        "deformed_fibonacci": _project_counting_grazes(deformed)[0],
         "matern": sample(matern),
     }
 
@@ -357,7 +318,7 @@ def _coherence_candidates(mu, gamma0: float, spacing: float,
     return cand[keep]
 
 
-def check_criterion_coherence(seed: int = 0, threads: int | None = None,
+def check_criterion_coherence(seed: int = 0,
                               peak_threshold_scale: float | None = None
                               ) -> CheckResult:
     """Concentration, mismatch-density, and smoothed-profile verdicts agree.
@@ -431,21 +392,21 @@ def check_criterion_coherence(seed: int = 0, threads: int | None = None,
 # 6. Autocorrelation versus Palm intensity
 
 
-def check_acpalm(seed: int = 0, threads: int | None = None) -> CheckResult:
+def check_acpalm(seed: int = 0) -> CheckResult:
     """Per-seed pair mass on a region matches the typical-point intensity."""
     window = 210.0
     radii = np.array([100.0, 150.0, 200.0])
     A = RegionSpec.ball([1.0], 0.25)
     latt = ProcessSampler("randomized_lattice", seed + 1, window,
                           basis=[[1.0]])
-    rep = verify_acpalm(latt, A, radii, n_seeds=20, threads=threads)
+    rep = verify_acpalm(latt, A, radii, n_seeds=20)
     lattice_dev = float(np.max(np.abs(np.array(rep["per_seed_final"]) - 1.0)))
     ok = lattice_dev <= 0.05
 
     mat = ProcessSampler("matern_II", seed + 2, window,
                          intensity=1.0, hardcore=0.5)
     A2 = RegionSpec.ball([0.5], 0.1)
-    rep2 = verify_acpalm(mat, A2, radii, n_seeds=20, threads=threads)
+    rep2 = verify_acpalm(mat, A2, radii, n_seeds=20)
     finals = np.array(rep2["per_seed_final"])
     sem = float(np.std(finals, ddof=1) / math.sqrt(len(finals)))
     combined = math.sqrt(rep2["palm_stderr"] ** 2 + sem ** 2)
@@ -481,8 +442,7 @@ def _fib_projection_candidates(max_abs_t: float, w_bound: float) -> np.ndarray:
     return np.array(sorted(cands)).reshape(-1, 1)
 
 
-def check_event_periods(seed: int = 0, threads: int | None = None
-                        ) -> CheckResult:
+def check_event_periods(seed: int = 0) -> CheckResult:
     """Monte Carlo occupancy-event almost periods on both process kinds."""
     R = 0.2
     eps = 0.1
@@ -497,8 +457,7 @@ def check_event_periods(seed: int = 0, threads: int | None = None
     bad = np.array([[5.0 * mean_spacing * 0.37], [11.3 * mean_spacing * 0.41]])
     cand = np.vstack([cand, bad])
     rep = event_almost_periods(p, R, eps, cand, n_samples,
-                               gap_bound=gap_bound, search_radius=25.0,
-                               threads=threads)
+                               gap_bound=gap_bound, search_radius=25.0)
     fib_ok = rep.verdict == "pass"
 
     # stationarized lattice: integers are exact almost-sure periods
@@ -507,8 +466,7 @@ def check_event_periods(seed: int = 0, threads: int | None = None
     others = np.array([[0.5], [2.5]])
     lat_cand = np.vstack([ints, others])
     rep2 = event_almost_periods(latt, R, eps, lat_cand, n_samples,
-                                gap_bound=2.0, search_radius=5.0,
-                                threads=threads)
+                                gap_bound=2.0, search_radius=5.0)
     rates = np.array(rep2.details["event_rate"])
     integer_mask = np.array([float(v) == round(float(v))
                              for v in lat_cand[:, 0]])
@@ -531,7 +489,7 @@ def check_event_periods(seed: int = 0, threads: int | None = None
 # 8. Palm base-region independence
 
 
-def check_palm_base(seed: int = 0, threads: int | None = None) -> CheckResult:
+def check_palm_base(seed: int = 0) -> CheckResult:
     """The base region used by the Palm estimator must not matter."""
     window = 30.0
     dim = 1
@@ -550,8 +508,8 @@ def check_palm_base(seed: int = 0, threads: int | None = None) -> CheckResult:
             RegionSpec.ball([0.5], 0.25)),
     }
     for name, (p, A) in samplers.items():
-        e1 = palm_intensity(p, A, B_cube, n_samples=200, threads=threads)
-        e2 = palm_intensity(p, A, B_ball, n_samples=200, threads=threads)
+        e1 = palm_intensity(p, A, B_cube, n_samples=200)
+        e2 = palm_intensity(p, A, B_ball, n_samples=200)
         combined = math.sqrt(e1.stderr ** 2 + e2.stderr ** 2)
         diff = abs(e1.value - e2.value)
         rows[name] = {"cube": e1.value, "ball": e2.value,
@@ -564,9 +522,9 @@ def check_palm_base(seed: int = 0, threads: int | None = None) -> CheckResult:
 # 9. Two-gap structure of the projection chain
 
 
-def check_fibonacci(seed: int = 0, threads: int | None = None) -> CheckResult:
+def check_fibonacci(seed: int = 0) -> CheckResult:
     """Exactly two gaps with golden ratio; zero deformation is the identity."""
-    S, grazes = _project_canonical(fibonacci_config(500.0))
+    S, grazes = _project_counting_grazes(fibonacci_config(500.0))
     xs = np.sort(S.points[:, 0])
     gaps = np.diff(xs)
     splits = np.nonzero(np.diff(np.sort(gaps)) > 1e-6)[0]
@@ -589,7 +547,7 @@ def check_fibonacci(seed: int = 0, threads: int | None = None) -> CheckResult:
         ok = ok and ratio_err <= 1e-9 and spread <= 1e-9
     zero_def = fibonacci_config(
         500.0, deformation=SinusoidalDeformation([0.0], [1.0], 0.0))
-    S2 = _project_canonical(zero_def)[0]
+    S2 = _project_counting_grazes(zero_def)[0]
     identical = bool(len(S) == len(S2)
                      and np.array_equal(S.points, S2.points))
     ok = ok and identical
@@ -613,9 +571,10 @@ _CHECKS = {
     "fibonacci": check_fibonacci,
 }
 
+CHECK_TAGS = tuple(_CHECKS)
+
 
 def run_checks(seed: int = 0, only: str | None = None,
-               threads: int | None = None,
                peak_threshold_scale: float | None = None) -> dict:
     """Run the verification corpus; JSON-ready summary, stable under reruns."""
     if only is not None and only not in _CHECKS:
@@ -627,10 +586,9 @@ def run_checks(seed: int = 0, only: str | None = None,
             continue
         if tag == "criterion_coherence":
             results.append(check_criterion_coherence(
-                seed=seed, threads=threads,
-                peak_threshold_scale=peak_threshold_scale))
+                seed=seed, peak_threshold_scale=peak_threshold_scale))
         else:
-            results.append(_CHECKS[tag](seed=seed, threads=threads))
+            results.append(_CHECKS[tag](seed=seed))
     return {
         "seed": int(seed),
         "checks": [r.to_json() for r in results],

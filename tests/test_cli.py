@@ -425,6 +425,33 @@ def test_palm_window_too_small_exit_code(tmp_path, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("region", [
+    {"kind": "box", "lo": [1.0], "hi": [0.5]},
+    {"kind": "box", "lo": [math.nan], "hi": [0.5]},
+    {"kind": "box", "lo": [-math.inf], "hi": [0.5]},
+    {"kind": "ball", "center": [1.0], "radius": math.nan},
+    {"kind": "ball", "center": [math.inf], "radius": 0.25},
+])
+def test_palm_bad_region_exit_code(tmp_path, capsys, region):
+    cfg = write_config(tmp_path, {
+        "sampler": {"kind": "randomized_lattice", "seed": 2,
+                    "window_radius": 30.0, "basis": [[1.0]]},
+        "region": region})
+    code = main(["palm", "--config", cfg, "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {region['kind']} needs")
+
+
+def test_threads_flag_is_rejected(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--threads", "2", "--only", "fibonacci",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -6,6 +6,7 @@ import pytest
 
 import apkit as ak
 import oracles
+from apkit.generators import _project_counting_grazes
 
 TAU = ak.GOLDEN_RATIO
 C = math.sqrt(2.0 + TAU)
@@ -130,6 +131,37 @@ def test_fibonacci_density():
 def test_fibonacci_boundary_graze_warns():
     with pytest.warns(UserWarning, match="window boundary"):
         ak.cut_and_project(ak.fibonacci_config(50.0))
+
+
+def test_boundary_graze_is_a_typed_warning_with_its_count():
+    with pytest.warns(ak.WindowGraze) as record:
+        ak.cut_and_project(ak.fibonacci_config(50.0))
+    assert [w.message.count for w in record] == [2]
+    assert str(record[0].message) == (
+        "2 lattice translate(s) lie exactly on the window boundary; "
+        "membership used the half-open/closed convention")
+
+
+def test_graze_counting_projection_returns_count_without_warning():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        S, grazes = _project_counting_grazes(ak.fibonacci_config(50.0))
+    assert caught == []
+    assert grazes == 2
+    assert np.array_equal(S.points, fib_points(50.0).points)
+
+
+def test_graze_counting_projection_re_emits_other_warnings():
+    # rational slope: the irrationality heuristic must still be heard
+    s = 1.0 / math.sqrt(2.0)
+    cfg = ak.CutProjectConfig(
+        n=2, E_basis=[[s, s]], F_basis=[[-s, s]],
+        window=ak.RegionSpec.box([-0.5], [0.5]), output_radius=10.0)
+    with pytest.warns(UserWarning, match="irrationality") as record:
+        S, grazes = _project_counting_grazes(cfg)
+    assert grazes == 0
+    assert not any(isinstance(w.message, ak.WindowGraze) for w in record)
+    assert len(S) > 0
 
 
 def test_cut_and_project_is_faithful_under_enlargement():

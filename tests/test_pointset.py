@@ -430,6 +430,38 @@ def test_read_rejects_non_finite_rows(tmp_path, bad):
         ak.read_pointset_csv(str(path))
 
 
+# reader, its header lines and two valid data rows
+CSV_READERS = {
+    "pointset": (ak.read_pointset_csv, ["# dim=1", "# r=0.5", "# window=5"],
+                 ["0", "1"]),
+    "measure": (ak.read_measure_csv, ["# dim=1", "# bin_tol=0.001"],
+                ["0,1", "1,1"]),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(CSV_READERS))
+@pytest.mark.parametrize("fault", ["missing_header", "non_numeric", "ragged",
+                                   "fractional_dim"])
+def test_csv_readers_reject_malformed_files(tmp_path, reader, fault):
+    read, headers, rows = CSV_READERS[reader]
+    good = tmp_path / "good.csv"
+    good.write_text("\n".join(headers + rows) + "\n")
+    assert len(read(str(good))) == 2
+    bad_line = len(headers) + len(rows) + 1
+    if fault == "missing_header":
+        headers, match = headers[:-1], "missing '# "
+    elif fault == "non_numeric":
+        rows, match = rows + [rows[-1] + "x"], f"line {bad_line}: non-numeric"
+    elif fault == "ragged":
+        rows, match = rows + [rows[-1] + ",2"], f"line {bad_line}: .* fields"
+    else:
+        headers, match = ["# dim=1.5"] + headers[1:], "positive integer"
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(headers + rows) + "\n")
+    with pytest.raises(ak.InvalidArgument, match=match):
+        read(str(path))
+
+
 def test_pointset_rejects_non_finite_coordinates():
     for bad in (math.nan, math.inf):
         with pytest.raises(ak.InvalidArgument):
