@@ -19,6 +19,7 @@ from .autocorr import WeightedAtomMeasure
 from .errors import (
     DimensionMismatch,
     EmptyCandidateSet,
+    InvalidArgument,
     NoAtomAtZero,
     RadiusExceedsWindow,
     TranslationExceedsWindow,
@@ -27,6 +28,7 @@ from .gridindex import GridIndex
 from .pointset import (
     PointSet,
     RegionSpec,
+    atomic_write_text,
     ball_volume,
     mean_nn_spacing,
     relative_density_gap,
@@ -62,11 +64,12 @@ class KGrid:
         object.__setattr__(self, "lo", np.asarray(self.lo, dtype=float).reshape(-1))
         object.__setattr__(self, "hi", np.asarray(self.hi, dtype=float).reshape(-1))
         if len(self.lo) != len(self.hi):
-            raise ValueError("lo and hi lengths differ")
-        if not (self.step > 0):
-            raise ValueError("step must be positive")
+            raise InvalidArgument("lo and hi lengths differ")
+        if not (0 < self.step < math.inf
+                and np.all(np.isfinite(self.lo) & np.isfinite(self.hi))):
+            raise InvalidArgument("k grid needs finite lo, hi and step > 0")
         if np.any(self.hi < self.lo):
-            raise ValueError("hi must be >= lo")
+            raise InvalidArgument("hi must be >= lo")
 
     @property
     def dim(self) -> int:
@@ -512,6 +515,4 @@ def periodogram_to_csv(per: Periodogram) -> str:
 
 
 def write_periodogram_csv(per: Periodogram, path: str) -> None:
-    from .pointset import atomic_write_text
-
     atomic_write_text(path, periodogram_to_csv(per))

@@ -9,6 +9,7 @@ through a counter-based generator split per sample index, so identical
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -20,6 +21,7 @@ from .autocorr import finite_autocorrelation
 from .diffraction import CriterionReport, _finish_report
 from .errors import (
     ConfigError,
+    InvalidArgument,
     NotUniformlyDiscrete,
     SingularBasis,
     WindowTooSmall,
@@ -60,6 +62,9 @@ def make_lattice(basis, window_radius: float) -> PointSet:
     d = B.shape[1]
     if B.shape[0] != d:
         raise SingularBasis("basis must be square (one vector per dimension)")
+    if not (np.all(np.isfinite(B)) and 0.0 <= window_radius < math.inf):
+        raise InvalidArgument(
+            "lattice needs finite basis entries and a finite window >= 0")
     scale = float(np.max(np.abs(B)))
     if scale == 0 or abs(np.linalg.det(B)) < 1e-12 * scale ** d:
         raise SingularBasis("basis vectors are linearly dependent")
@@ -75,6 +80,23 @@ def make_lattice(basis, window_radius: float) -> PointSet:
     small = small[np.any(small != 0, axis=1)]
     r = float(np.min(np.sqrt(np.sum((small @ B) ** 2, axis=1))))
     return PointSet(pts, window_radius, r)
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_lattice(key: bytes, shape: tuple, window_radius: float):
+    base = make_lattice(np.frombuffer(key).reshape(shape), window_radius)
+    base.points.setflags(write=False)
+    return base.points, base.hardcore_radius
+
+
+def _lattice_base(basis: np.ndarray, window_radius: float):
+    """make_lattice's (points, hardcore radius), built once per basis and radius.
+
+    The points are read-only because every later call shares them. A basis
+    that make_lattice rejects raises on every call: lru_cache keeps no
+    exceptions.
+    """
+    return _cached_lattice(basis.tobytes(), basis.shape, float(window_radius))
 
 
 def lattice_covolume(basis) -> float:
@@ -176,13 +198,18 @@ class CutProjectConfig:
             raise ConfigError("E and F bases are not jointly orthonormal")
         if self.window.dim != self.internal_dim:
             raise ConfigError("window dimension must match the internal space")
-        if not (self.output_radius >= 0):
-            raise ConfigError("output_radius must be nonnegative")
+        if not (0 <= self.output_radius < math.inf):
+            raise ConfigError("output_radius must be finite and nonnegative")
+        numbers = [self.E_basis, self.F_basis, self.torus_offset]
         if self.deformation is not None:
             if len(self.deformation.amplitude) != self.physical_dim:
                 raise ConfigError("deformation amplitude must be physical-dim")
             if len(self.deformation.frequency) != self.internal_dim:
                 raise ConfigError("deformation frequency must be internal-dim")
+            numbers += [self.deformation.amplitude, self.deformation.frequency,
+                        self.deformation.phase]
+        if not all(np.all(np.isfinite(v)) for v in numbers):
+            raise ConfigError("cut-and-project numbers must be finite")
 
     def to_json(self) -> dict:
         return {
@@ -301,6 +328,13 @@ def cut_and_project(cfg: CutProjectConfig) -> PointSet:
     output is faithful in its window: enlarging output_radius never changes
     the points inside the smaller radius. The hardcore radius is measured
     from the output; exact collisions raise NotUniformlyDiscrete.
+
+    The result is not validated again, because every check would pass by
+    construction. r is sqrt(min d2) over all pairs, with d2 computed by
+    ``pairs_within``'s own expression, and the check queries r*(1 - 1e-9),
+    so it finds no pair. ``_enumerate_strip`` keeps only norms within the
+    window, and the GridIndex in ``_min_pair_distance`` rejects non-finite
+    coordinates.
     """
     findings: list[str] = []
     for row in cfg.E_basis:
@@ -323,7 +357,7 @@ def cut_and_project(cfg: CutProjectConfig) -> PointSet:
     if r is None or r <= 1e-12:
         raise NotUniformlyDiscrete(
             "deformation collapsed distinct projections (measured r = 0)")
-    return PointSet(points, cfg.output_radius, r)
+    return PointSet(points, cfg.output_radius, r, validate=False)
 
 
 def _project_counting_grazes(cfg: CutProjectConfig) -> tuple[PointSet, int]:
@@ -401,6 +435,13 @@ class ProcessSampler:
         if self.basis is not None:
             object.__setattr__(self, "basis",
                                np.atleast_2d(np.asarray(self.basis, dtype=float)))
+        # sample() trusts these numbers, so they are checked here
+        numbers = [self.window_radius, self.basis, self.intensity,
+                   self.hardcore, self.noise_bound]
+        if not all(np.all(np.isfinite(v)) for v in numbers if v is not None):
+            raise ConfigError(
+                "sampler window_radius, basis, intensity, hardcore and "
+                "noise_bound must be finite")
         if self.kind == "randomized_model_set" and self.cut_project is None:
             raise ConfigError("randomized_model_set needs cut_project")
         if self.kind in ("randomized_lattice", "perturbed_lattice") \
@@ -478,10 +519,19 @@ def sample(p: ProcessSampler, index: int = 0) -> PointSet:
         u = rng.random(_lattice_dim(p))
         offset = u @ p.basis
         diam = float(np.sum(np.sqrt(np.sum(p.basis ** 2, axis=1))))
-        base = make_lattice(p.basis, W + diam + 1.0)
-        pts = base.points - offset
+        reach = W + diam + 1.0
+        base, r = _lattice_base(p.basis, reach)
+        pts = base - offset
         pts = pts[np.sum(pts ** 2, axis=1) <= W * W * (1 + 1e-12)]
-        return PointSet(pts, W, base.hardcore_radius)
+        # A translate of the validated base, as in translate(): exact
+        # distances are unchanged. With u = 2**-53 and |x|, |offset| below
+        # `reach`, each fl(x - offset) is within 2*u*reach of x - offset, so
+        # a computed distance near r moves from the base's by at most
+        # sqrt(dim) * u * (4*reach + 2*r). While sqrt(dim) * reach < 1e5 * r
+        # that is below 5e-11 * r, a twentieth of the check's 1e-9 * r
+        # slack; larger reaches validate.
+        trusted = math.sqrt(_lattice_dim(p)) * reach < 1e5 * r
+        return PointSet(pts, W, r, validate=not trusted)
     if p.kind == "randomized_model_set":
         for _ in range(3):
             u = rng.random(p.cut_project.n)
@@ -507,10 +557,16 @@ def sample(p: ProcessSampler, index: int = 0) -> PointSet:
             np.logical_or.at(killed, qi, older)
             props = props[~killed]
         pts = props[np.sum(props ** 2, axis=1) <= W * W * (1 + 1e-12)]
-        return PointSet(pts, W, r)
+        # Dependent thinning separates by construction. pairs_within lists
+        # every pair with d2 <= r*r in both orders; `older` is a strict total
+        # order (mark, then row), so each such pair loses its younger member.
+        # Survivors are pairwise d2 > r*r with the check's own expression,
+        # and the check queries r*(1 - 1e-9). Norms are clipped to the window
+        # above, and the proposals are finite draws in a finite ball.
+        return PointSet(pts, W, r, validate=False)
     # perturbed_lattice
     dim = _lattice_dim(p)
-    base_r = make_lattice(p.basis, 2.0).hardcore_radius
+    base_r = _lattice_base(p.basis, 2.0)[1]
     if not (p.noise_bound < base_r / 2.0):
         raise ConfigError(
             f"noise bound {p.noise_bound:g} must stay below half the lattice "
@@ -518,10 +574,12 @@ def sample(p: ProcessSampler, index: int = 0) -> PointSet:
     u = rng.random(dim)
     offset = u @ p.basis
     diam = float(np.sum(np.sqrt(np.sum(p.basis ** 2, axis=1))))
-    base = make_lattice(p.basis, W + diam + p.noise_bound + 1.0)
-    noise = _uniform_in_ball(rng, len(base.points), dim, p.noise_bound)
-    pts = base.points - offset + noise
+    base, _ = _lattice_base(p.basis, W + diam + p.noise_bound + 1.0)
+    noise = _uniform_in_ball(rng, len(base), dim, p.noise_bound)
+    pts = base - offset + noise
     pts = pts[np.sum(pts ** 2, axis=1) <= W * W * (1 + 1e-12)]
+    # validated: base_r - 2*noise_bound can come arbitrarily close to 0,
+    # where coordinate rounding outgrows the check's 1e-9 * r slack
     return PointSet(pts, W, base_r - 2.0 * p.noise_bound)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,9 +162,16 @@ class PointSet:
     hardcore_radius : float
         Declared minimal pairwise distance r > 0.
     validate : bool
-        When true (default), check that points lie inside the window and
-        respect the hardcore radius. Derived sets whose separation is known
-        by construction may skip this.
+        When true (default), check that the points are finite, lie inside
+        the window and respect the hardcore radius (one grid build and one
+        pair query). Only sets that pass it by construction skip it:
+        subsets and translates of a checked set (``translate``, the mismatch
+        sets), ``cut_and_project`` (r is the measured minimum distance) and
+        the ``randomized_lattice`` and ``matern_II`` samplers (a translate of
+        a checked lattice; dependent thinning). External inputs always
+        validate: ``PointSet(...)`` by default, ``read_pointset_csv`` and
+        ``make_lattice``. So does the ``perturbed_lattice`` sampler, whose r
+        may come close to 0.
     """
 
     def __init__(self, points, window_radius: float, hardcore_radius: float,
@@ -406,8 +413,8 @@ def upper_density(S: PointSet, radii, tail_fraction: float = 0.5,
     a finite-scale stand-in for the upper density limsup.
     """
     radii = np.sort(np.asarray(radii, dtype=float))
-    if radii.size == 0 or radii[0] <= 0:
-        raise ValueError("radii must be positive")
+    if radii.size == 0 or not (0 < radii[0] and radii[-1] < math.inf):
+        raise InvalidArgument("radii must be positive and finite")
     if radii[-1] > S.window_radius * (1.0 + _REL_SLACK):
         raise RadiusExceedsWindow(
             f"schedule reaches {radii[-1]:.6g}, window is {S.window_radius:.6g}")

@@ -26,7 +26,7 @@ from .errors import (
     SupportTooLarge,
     WindowTooSmall,
 )
-from .pointset import PointSet, ball_volume, metric_d, translate, upper_density
+from .pointset import PointSet, metric_d, translate, upper_density
 from .testfunc import TestFunction
 from .util import tail_converged, tail_max
 

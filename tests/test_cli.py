@@ -444,6 +444,61 @@ def test_palm_bad_region_exit_code(tmp_path, capsys, region):
     assert captured.err.startswith(f"error: {region['kind']} needs")
 
 
+MATERN = {"kind": "matern_II", "seed": 2, "window_radius": 30.0,
+          "intensity": 1.0, "hardcore": 0.5}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("palm", {"sampler": {**MATERN, "window_radius": math.nan}}),
+    ("palm", {"sampler": {**MATERN, "intensity": math.nan}}),
+    ("palm", {"sampler": {**MATERN, "hardcore": math.nan}}),
+    ("generate", {"lattice": {"basis": [[1.0]], "window_radius": math.nan}}),
+    ("generate", {"lattice": {"basis": [[math.nan]], "window_radius": 10.0}}),
+])
+def test_non_finite_config_numbers_exit_code(tmp_path, capsys, command, doc):
+    if command == "palm":
+        doc = {**doc, "region": {"kind": "ball", "center": [1.0],
+                                 "radius": 0.25}}
+    code = main([command, "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "finite" in captured.err
+
+
+@pytest.mark.parametrize("command, extra, doc", [
+    ("metric", ["--which", "dtilde"], {"radii": [10.0, math.nan]}),
+    ("diffract", [], {"radii": [10.0], "k_lo": [0.0], "k_hi": [1.0],
+                      "k_step": math.nan}),
+    ("diffract", [], {"radii": [10.0], "k_lo": [-math.inf], "k_hi": [1.0],
+                      "k_step": 0.1}),
+])
+def test_non_finite_file_command_numbers_exit_code(tmp_path, capsys, command,
+                                                   extra, doc):
+    # dtilde used to report {"value": null} with exit 0; diffract a traceback
+    a = write_set(tmp_path, ak.make_lattice([[1.0]], 40.0), "a.csv")
+    files = [a, a] if command == "metric" else [a]
+    code = main([command, *files, *extra, "--config",
+                 write_config(tmp_path, doc), "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
+def test_point_csv_closer_than_its_r_exit_code(tmp_path, capsys):
+    a = tmp_path / "a.csv"
+    a.write_text("# dim=1\n# r=0.5\n# window=5\n0\n0.3\n1\n")
+    cfg = write_config(tmp_path, {"radii": [2.0]})
+    code = main(["metric", str(a), str(a), "--which", "dtilde",
+                 "--config", cfg, "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error: pairwise distance 0.3 below")
+
+
 def test_threads_flag_is_rejected(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--threads", "2", "--only", "fibonacci",

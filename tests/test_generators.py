@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -6,7 +7,8 @@ import pytest
 
 import apkit as ak
 import oracles
-from apkit.generators import _project_counting_grazes
+from apkit.generators import (_cached_lattice, _lattice_base,
+                              _project_counting_grazes)
 
 TAU = ak.GOLDEN_RATIO
 C = math.sqrt(2.0 + TAU)
@@ -358,6 +360,159 @@ def test_sampler_distribution_is_stationary():
     box = ak.RegionSpec.box([2.3], [7.3])
     counts = [ak.count_in_region(ak.sample(p, i), box) for i in range(80)]
     assert float(np.mean(counts)) == pytest.approx(5.0, abs=0.2)
+
+
+# ---------------------------------------------------------------------------
+# separation by construction: outputs that skip PointSet's check
+
+
+def octagonal_config(output_radius: float, offset=(0.0,) * 4) -> ak.CutProjectConfig:
+    # the 8-fold strip; its E rows hold zeros and equal entries, which the
+    # irrationality heuristic flags
+    s = 1.0 / math.sqrt(2.0)
+    E = [[s * math.cos(j * math.pi / 4) for j in range(4)],
+         [s * math.sin(j * math.pi / 4) for j in range(4)]]
+    F = [[s * math.cos(3 * j * math.pi / 4) for j in range(4)],
+         [s * math.sin(3 * j * math.pi / 4) for j in range(4)]]
+    return ak.CutProjectConfig(n=4, E_basis=E, F_basis=F,
+                               window=ak.RegionSpec.ball([0.0, 0.0], 0.6),
+                               output_radius=output_radius, torus_offset=offset)
+
+
+def assert_separated(S: ak.PointSet) -> None:
+    """The properties PointSet's check would test, against a quadratic scan."""
+    assert np.all(np.isfinite(S.points))
+    # the check's own window tolerance
+    assert np.all(np.linalg.norm(S.points, axis=1)
+                  <= S.window_radius * (1.0 + 1e-9))
+    if len(S) > 1:
+        d = oracles.brute_min_pair_distance(S.points)
+        assert d >= S.hardcore_radius * (1.0 - 1e-9)
+
+
+SEPARATION_SAMPLERS = {
+    "lattice_1d": lambda s: ak.ProcessSampler(
+        "randomized_lattice", s, 10.0, basis=[[0.7]]),
+    "lattice_2d": lambda s: ak.ProcessSampler(
+        "randomized_lattice", s, 4.0, basis=[[1.0, 0.0], [0.3, 0.9]]),
+    "matern_1d": lambda s: ak.ProcessSampler(
+        "matern_II", s, 8.0, intensity=3.0, hardcore=0.3),
+    "matern_2d": lambda s: ak.ProcessSampler(
+        "matern_II", s, 4.0, intensity=3.0, hardcore=0.4, dim=2),
+    "fibonacci": lambda s: ak.ProcessSampler(
+        "randomized_model_set", s, 15.0, cut_project=ak.fibonacci_config(15.0)),
+    "fibonacci_deformed": lambda s: ak.ProcessSampler(
+        "randomized_model_set", s, 15.0, cut_project=ak.fibonacci_config(
+            15.0, deformation=ak.SinusoidalDeformation([0.15], [1.3], 0.4))),
+    "octagonal": lambda s: ak.ProcessSampler(
+        "randomized_model_set", s, 4.0, cut_project=octagonal_config(4.0)),
+    "perturbed_1d": lambda s: ak.ProcessSampler(
+        "perturbed_lattice", s, 10.0, basis=[[1.0]], noise_bound=0.2),
+    "perturbed_2d": lambda s: ak.ProcessSampler(
+        "perturbed_lattice", s, 4.0, basis=[[1.0, 0.0], [0.0, 1.0]],
+        noise_bound=0.2),
+}
+
+
+@pytest.mark.filterwarnings("ignore:no E-basis vector")
+@pytest.mark.parametrize("name", sorted(SEPARATION_SAMPLERS))
+def test_sampler_output_separated_by_brute_force(name):
+    for seed in range(50):
+        assert_separated(ak.sample(SEPARATION_SAMPLERS[name](seed), seed % 3))
+
+
+def test_matern_oracle_draws_thin_something():
+    # the separation test above means something only if thinning happened
+    p = SEPARATION_SAMPLERS["matern_2d"](0)
+    assert len(ak.sample(p, 0)) < p.intensity * ak.ball_volume(2, 4.0)
+
+
+@pytest.mark.filterwarnings("ignore:no E-basis vector")
+def test_cut_and_project_octagonal_separated_by_brute_force():
+    for offset in ((0.0,) * 4, (0.1, 0.2, 0.3, 0.4)):
+        S = ak.cut_and_project(octagonal_config(5.0, offset))
+        assert len(S) > 50
+        assert_separated(S)
+        # r is the measured minimum, so the check is tight, not loose
+        assert S.hardcore_radius == pytest.approx(
+            oracles.brute_min_pair_distance(S.points), rel=1e-12)
+
+
+SKEWED_BASIS = [[1.0, 0.0], [10.5, 0.01]]
+
+
+def test_make_lattice_still_rejects_a_hidden_short_vector():
+    # r is the shortest vector over combinations in [-4, 4]^2, here 1, but
+    # 2 * (10.5, 0.01) - 21 * (1, 0) = (0, 0.02)
+    with pytest.raises(ak.NotUniformlyDiscrete):
+        ak.make_lattice(SKEWED_BASIS, 1.0)
+
+
+def test_randomized_lattice_raises_for_a_hidden_short_vector_every_call():
+    # the same defect with a smaller enumeration box: SKEWED_BASIS at the
+    # sampler's base radius (window + 12.5) would enumerate ~7e7 points.
+    # Declared r = |(0.5, 0.1)|, but 2 * (4.5, 0.1) - 9 * (1, 0) = (0, 0.2)
+    p = ak.ProcessSampler("randomized_lattice", 0, 2.0,
+                          basis=[[1.0, 0.0], [4.5, 0.1]])
+    for _ in range(2):
+        with pytest.raises(ak.NotUniformlyDiscrete):
+            ak.sample(p, 0)
+
+
+def test_cached_lattice_base_is_read_only():
+    pts, r = _lattice_base(np.array([[1.0]]), 5.0)
+    assert r == 1.0
+    with pytest.raises(ValueError):
+        pts[0, 0] = 7.0
+    # samples own their points
+    assert ak.sample(lattice_sampler(3), 0).points.flags.writeable
+
+
+@pytest.mark.parametrize("name", ["lattice_1d", "lattice_2d", "perturbed_2d"])
+def test_lattice_samples_do_not_depend_on_the_cache(name):
+    p = SEPARATION_SAMPLERS[name](5)
+    first = ak.sample(p, 4).points
+    again = ak.sample(p, 4).points
+    _cached_lattice.cache_clear()
+    cold = ak.sample(p, 4).points
+    assert first.tobytes() == again.tobytes() == cold.tobytes()
+
+
+@pytest.mark.parametrize("kw", [
+    dict(kind="randomized_lattice", window_radius=math.nan, basis=[[1.0]]),
+    dict(kind="randomized_lattice", window_radius=10.0, basis=[[math.inf]]),
+    dict(kind="matern_II", window_radius=10.0, intensity=math.nan,
+         hardcore=0.5),
+    dict(kind="matern_II", window_radius=10.0, intensity=1.0,
+         hardcore=math.nan),
+    dict(kind="perturbed_lattice", window_radius=10.0, basis=[[1.0]],
+         noise_bound=math.nan),
+    dict(kind="randomized_model_set", window_radius=math.inf,
+         cut_project=ak.fibonacci_config(10.0)),
+])
+def test_sampler_rejects_non_finite_numbers(kw):
+    with pytest.raises(ak.ConfigError, match="finite"):
+        ak.ProcessSampler(seed=0, **kw)
+
+
+@pytest.mark.parametrize("change", [
+    dict(torus_offset=(math.nan, 0.0)),
+    dict(output_radius=math.inf),
+    dict(deformation=ak.SinusoidalDeformation([math.inf], [1.0])),
+    dict(deformation=ak.SinusoidalDeformation([0.1], [1.0], math.nan)),
+])
+def test_cut_project_config_rejects_non_finite_numbers(change):
+    with pytest.raises(ak.ConfigError, match="finite"):
+        dataclasses.replace(ak.fibonacci_config(10.0), **change)
+
+
+@pytest.mark.parametrize("basis, window", [
+    ([[math.nan]], 5.0), ([[1.0, 0.0], [0.0, math.inf]], 5.0),
+    ([[1.0]], math.nan), ([[1.0]], math.inf),
+])
+def test_make_lattice_rejects_non_finite_numbers(basis, window):
+    with pytest.raises(ak.InvalidArgument):
+        ak.make_lattice(basis, window)
 
 
 # ---------------------------------------------------------------------------
