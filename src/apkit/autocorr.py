@@ -305,7 +305,7 @@ def autocorrelation_limit(S: PointSet, radii, bin_tol: float | None = None,
     """
     radii = np.sort(np.asarray(radii, dtype=float))
     if radii.size < 2:
-        raise ValueError("need at least two radii to track convergence")
+        raise InvalidArgument("need at least two radii to track convergence")
     if diff_cutoff is None:
         diff_cutoff = 2.0 * float(radii[0])
     measures = [finite_autocorrelation(S, float(r), bin_tol, diff_cutoff)

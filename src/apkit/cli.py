@@ -315,7 +315,7 @@ def cmd_appd(args) -> int:
     if "candidates" in cfg:
         cand = np.asarray(cfg["candidates"], dtype=float)
     else:
-        pitch = cfg.get("pitch", mean_nn_spacing(S))
+        pitch = cfg["pitch"] if "pitch" in cfg else mean_nn_spacing(S)
         span = cfg.get("span", cfg.get("search_radius", 10.0 * pitch))
         axis = np.arange(-span, span + pitch / 2.0, pitch)
         if S.dim == 1:

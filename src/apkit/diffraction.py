@@ -51,6 +51,9 @@ VERDICTS = ("pass", "fail", "inconclusive")
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+#: largest number of complex exponentials held in one block of a Fourier sum
+_EXP_BLOCK = 4_000_000
+
 
 @dataclass(frozen=True)
 class KGrid:
@@ -112,12 +115,41 @@ def _fourier_sums(P: np.ndarray, K: np.ndarray) -> np.ndarray:
     out = np.zeros(len(K), dtype=complex)
     if len(P) == 0:
         return out
-    chunk = max(1, int(4_000_000 // max(len(P), 1)))
+    chunk = max(1, _EXP_BLOCK // len(P))
     for s in range(0, len(K), chunk):
         block = K[s:s + chunk]
         phases = block @ P.T
         out[s:s + chunk] = np.sum(np.exp(-2j * np.pi * phases), axis=1)
     return out
+
+
+def _grid_fourier_sums(P: np.ndarray, k_grid: KGrid) -> np.ndarray:
+    """Complex sums over points at every node of a grid, in nodes() order.
+
+    exp(-2 pi i k.x) is the product over axes of exp(-2 pi i k_d x_d), so
+    the grid needs one K_d x n factor per axis: (sum of K_d) * n
+    exponentials. Axes 0 .. dim-2 are folded by elementwise products into
+    rows in row-major node order, and the last axis is contracted with one
+    matrix product. Axis-0 rows are taken in blocks so that no folded block
+    exceeds _EXP_BLOCK elements. In 1D the sums are the row sums of the
+    axis-0 factor, the same expression as _fourier_sums.
+    """
+    shape = k_grid.shape()
+    out = np.zeros((shape[0], math.prod(shape[1:])), dtype=complex)
+    n = len(P)
+    if n == 0:
+        return out.reshape(-1)
+    factors = [np.exp(-2j * np.pi * np.outer(k_grid.axis(d), P[:, d]))
+               for d in range(1, k_grid.dim)]
+    chunk = max(1, _EXP_BLOCK // (math.prod(shape[1:-1]) * n))
+    axis0 = k_grid.axis(0)
+    for s in range(0, shape[0], chunk):
+        rows = np.exp(-2j * np.pi * np.outer(axis0[s:s + chunk], P[:, 0]))
+        for E in factors[:-1]:
+            rows = (rows[:, None, :] * E[None, :, :]).reshape(-1, n)
+        sums = rows @ factors[-1].T if factors else np.sum(rows, axis=1)
+        out[s:s + chunk] = sums.reshape(-1, out.shape[1])
+    return out.reshape(-1)
 
 
 def fourier_sum(S: PointSet, R: float, k) -> complex:
@@ -161,14 +193,15 @@ def periodogram(S: PointSet, R: float, k_grid: KGrid,
     if k_grid.dim != S.dim:
         raise DimensionMismatch("frequency grid dimension differs from the set")
     if normalization not in ("per-volume", "atom-mass"):
-        raise ValueError("normalization must be 'per-volume' or 'atom-mass'")
+        raise InvalidArgument(
+            "normalization must be 'per-volume' or 'atom-mass'")
     if k_grid.step > 1.0 / (4.0 * R) * (1.0 + 1e-9):
         warnings.warn(
             f"k-grid step {k_grid.step:g} exceeds 1/(4R)={1.0 / (4.0 * R):g}; "
             "peaks may fall between nodes", stacklevel=2)
     P = _ball_points(S, R)
     vol = ball_volume(S.dim, R)
-    power = np.abs(_fourier_sums(P, k_grid.nodes())) ** 2
+    power = np.abs(_grid_fourier_sums(P, k_grid)) ** 2
     values = power / vol if normalization == "per-volume" else power / vol ** 2
     return Periodogram(S.dim, k_grid, values, float(R), normalization)
 

@@ -433,7 +433,7 @@ def upper_density(S: PointSet, radii, tail_fraction: float = 0.5,
 def mean_nn_spacing(S: PointSet) -> float:
     """Mean distance from each point to its nearest other point."""
     if len(S) < 2:
-        raise ValueError("need at least two points")
+        raise InvalidArgument("need at least two points")
     guess = (ball_volume(S.dim, S.window_radius) / len(S)) ** (1.0 / S.dim)
     radius = max(2.0 * guess, 2.0 * S.hardcore_radius)
     while True:

@@ -359,6 +359,36 @@ def test_diffract_empty_input(tmp_path, capsys):
     assert doc["n_peaks"] == 0 and doc["n_points"] == 0
 
 
+def one_point_2d(tmp_path) -> str:
+    S = ak.PointSet(np.zeros((1, 2)), 10.0, 1.0)
+    return write_set(tmp_path, S, "one.csv")
+
+
+def test_diffract_criteria_single_radius_exit_code(tmp_path, capsys):
+    a = write_set(tmp_path, ak.make_lattice([[1.0]], 20.0), "a.csv")
+    cfg = write_config(tmp_path, {
+        "radii": [20.0], "k_lo": [-1.1], "k_hi": [1.1], "k_step": 1.0 / 80.0,
+        "criteria": {"eps": 0.1, "ball_radius": 0.1, "search_radius": 3.0}})
+    code = main(["diffract", a, "--config", cfg, "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: need at least two radii")
+
+
+def test_diffract_criteria_one_point_exit_code(tmp_path, capsys):
+    a = one_point_2d(tmp_path)
+    cfg = write_config(tmp_path, {
+        "radii": [8.0, 10.0], "k_lo": [-0.5, -0.5], "k_hi": [0.5, 0.5],
+        "k_step": 1.0 / 40.0,
+        "criteria": {"eps": 0.1, "ball_radius": 0.1, "search_radius": 2.0}})
+    code = main(["diffract", a, "--config", cfg, "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: need at least two points")
+
+
 # ---------------------------------------------------------------------------
 # appd
 
@@ -384,6 +414,28 @@ def test_appd_explicit_candidates(tmp_path, capsys):
                     "--out", str(tmp_path))
     assert code == 0
     assert doc["almost_period_set"] == [[1.0]]
+
+
+def test_appd_one_point_exit_code(tmp_path, capsys):
+    a = one_point_2d(tmp_path)
+    cfg = write_config(tmp_path, {"eps": 0.1, "radii": [4.0, 6.0]})
+    code = main(["appd", a, "--config", cfg, "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: need at least two points")
+
+
+def test_appd_configured_pitch_skips_mean_spacing(tmp_path, capsys):
+    a = one_point_2d(tmp_path)
+    cfg = write_config(tmp_path, {
+        "eps": 0.1, "radii": [4.0, 6.0], "pitch": 1.0, "span": 2.0,
+        "gap_bound": 5.0})
+    code, doc = run(capsys, "appd", a, "--config", cfg,
+                    "--out", str(tmp_path))
+    assert code == 0
+    # the pitch-1 grid within span 2: 13 candidates
+    assert doc["details"]["candidates"] == 13
 
 
 # ---------------------------------------------------------------------------

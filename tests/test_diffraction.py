@@ -5,6 +5,9 @@ import pytest
 
 import apkit as ak
 import oracles
+from apkit import diffraction
+from apkit.diffraction import _fourier_sums, _grid_fourier_sums
+from test_generators import octagonal_config
 
 
 def z_lattice(window: float) -> ak.PointSet:
@@ -91,6 +94,59 @@ def test_fourier_sum_dimension_mismatch():
 
 
 # ---------------------------------------------------------------------------
+# grid Fourier sums, factorized over the axes
+
+
+def brute_grid_sums(P, g: ak.KGrid) -> np.ndarray:
+    return np.array([oracles.brute_fourier_sum(P, k) for k in g.nodes()])
+
+
+# shapes (17, 6), (1, 9), (11, 8, 1) and (5, 1, 7): no two axes alike, and
+# single-node axes first, last and in the middle
+ORACLE_GRIDS = [
+    ([-0.7, 0.1], [0.9, 0.6], 0.1),
+    ([0.3, -0.4], [0.3, 0.4], 0.1),
+    ([-0.5, -0.3, 0.2], [0.5, 0.4, 0.2], 0.1),
+    ([-0.4, 0.25, -0.3], [0.4, 0.25, 0.3], 0.2),
+]
+
+
+@pytest.mark.parametrize("lo,hi,step", ORACLE_GRIDS)
+@pytest.mark.parametrize("block", [None, 150])
+def test_grid_fourier_sums_match_brute(monkeypatch, lo, hi, step, block):
+    g = ak.KGrid(lo, hi, step)
+    rng = np.random.Generator(np.random.Philox(key=31))
+    P = rng.uniform(-9.0, 9.0, size=(40, g.dim))
+    if block is not None:
+        # blocks of a few axis-0 rows, the last one partial
+        monkeypatch.setattr(diffraction, "_EXP_BLOCK", block)
+    got = _grid_fourier_sums(P, g)
+    assert got.shape == (int(np.prod(g.shape())),)
+    assert np.max(np.abs(got - brute_grid_sums(P, g))) <= 1e-12 * len(P)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_grid_fourier_sums_empty_set_is_zero(dim):
+    g = ak.KGrid([-0.5] * dim, [0.5] * dim, 0.25)
+    got = _grid_fourier_sums(np.zeros((0, dim)), g)
+    assert got.shape == (5 ** dim,)
+    assert np.all(got == 0.0)
+
+
+@pytest.mark.parametrize("n", [60, 1001])
+@pytest.mark.parametrize("block", [None, 5000])
+def test_grid_fourier_sums_1d_equal_fourier_sums_bytewise(monkeypatch, n,
+                                                          block):
+    rng = np.random.Generator(np.random.Philox(key=37))
+    P = rng.uniform(-n / 2.0, n / 2.0, size=(n, 1))
+    g = ak.KGrid([-1.5], [1.5], 1.0 / 256.0)
+    if block is not None:
+        monkeypatch.setattr(diffraction, "_EXP_BLOCK", block)
+    got = _grid_fourier_sums(P, g)
+    assert got.tobytes() == _fourier_sums(P, g.nodes()).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # periodogram
 
 
@@ -163,6 +219,45 @@ def test_periodogram_csv_has_header_and_rows(tmp_path):
     got = np.array([[float(a), float(b)] for a, b in rows])
     assert np.allclose(got[:, 0], g.axis(0))
     assert np.allclose(got[:, 1], per.values)
+
+
+def test_z2_periodogram_integer_and_off_integer_values():
+    R = 40.0
+    S = ak.make_lattice([[1.0, 0.0], [0.0, 1.0]], R)
+    g = ak.KGrid([-2.0, -1.5], [2.0, 1.0], 0.25)
+    with pytest.warns(UserWarning, match="step"):
+        per = ak.periodogram(S, R, g)
+    card = oracles.gauss_disc_count(R)
+    vol = math.pi * R * R
+    rows = 2 * int(R) + 1
+    for k, v in zip(g.nodes(), per.values):
+        frac = np.abs(k - np.round(k)) > 1e-9
+        if not frac.any():
+            assert v == pytest.approx(card * card / vol, rel=1e-12)
+            continue
+        # each line of the disc along a non-integer axis sums to at most
+        # 1/|sin(pi k_d)| in modulus, and the disc has 2R + 1 such lines
+        line = 1.0 / np.max(np.abs(np.sin(np.pi * k[frac])))
+        assert v <= (rows * line) ** 2 / vol * (1.0 + 1e-9)
+
+
+@pytest.mark.filterwarnings("ignore:no E-basis vector")
+def test_octagonal_bragg_peaks_are_eightfold():
+    # an off-centre offset, so the set itself is not 8-fold symmetric; at
+    # R = 16 its finite-R peak shifts reach 1.2e-3
+    R = 20.0
+    S = ak.cut_and_project(octagonal_config(R, (0.1, 0.2, 0.3, 0.4)))
+    g = ak.KGrid([-0.75, -0.75], [0.75, 0.75], 1.0 / (4.0 * R))
+    peaks = ak.detect_bragg_peaks(S, [14.0, 17.0, R], g)
+    locs = np.array([p.location for p in peaks])
+    radius = np.sqrt(np.sum(locs ** 2, axis=1))
+    assert np.count_nonzero(radius < g.step) == 1
+    assert np.count_nonzero(np.abs(radius - 1.0 / math.sqrt(2.0)) < g.step) == 8
+    c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
+    rotated = locs @ np.array([[c, s], [-s, c]])
+    dist = np.sqrt(np.sum((rotated[:, None, :] - locs[None, :, :]) ** 2,
+                          axis=2)).min(axis=1)
+    assert dist.max() <= 1e-3
 
 
 # ---------------------------------------------------------------------------
