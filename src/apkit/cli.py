@@ -275,12 +275,9 @@ def cmd_diffract(args) -> int:
     R = float(radii[-1])
     grid = KGrid(cfg["k_lo"], cfg["k_hi"], cfg["k_step"])
     pg = periodogram(S, R, grid, cfg.get("normalization", "per-volume"))
-    write_periodogram_csv(pg, os.path.join(args.out, "periodogram.csv"))
     peaks = detect_bragg_peaks(S, radii, grid, cfg.get("threshold"),
                                cfg.get("stability_bound", 0.2))
     peaks_doc = [p.to_json() for p in peaks]
-    atomic_write_text(os.path.join(args.out, "peaks.json"),
-                      _dump({"peaks": peaks_doc}))
     summary = {"command": "diffract", "R": R, "n_points": len(S),
                "n_peaks": len(peaks), "peaks": peaks_doc}
     crit = cfg.get("criteria")
@@ -299,6 +296,10 @@ def cmd_diffract(args) -> int:
             est, crit["eps"], crit["search_radius"], gap_bound=gb)
         summary["criteria"] = {c.criterion_id: c.to_json()
                                for c in (c3, atom)}
+    # written last, so a run that fails leaves no partial output
+    write_periodogram_csv(pg, os.path.join(args.out, "periodogram.csv"))
+    atomic_write_text(os.path.join(args.out, "peaks.json"),
+                      _dump({"peaks": peaks_doc}))
     _emit(summary, args.out, "diffract.json")
     return 0
 

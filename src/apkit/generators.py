@@ -37,21 +37,6 @@ SAMPLER_KINDS = ("randomized_model_set", "randomized_lattice", "matern_II",
 _ENUM_LIMIT = 300_000_000
 
 
-def _min_pair_distance(points: np.ndarray, scale: float) -> float | None:
-    """Smallest pairwise distance, or None when fewer than two points."""
-    if len(points) < 2:
-        return None
-    radius = max(scale, 1e-9)
-    while True:
-        grid = GridIndex(points, radius)
-        qi, pi = grid.pairs_within(points, radius)
-        real = qi != pi
-        if np.any(real):
-            d2 = np.sum((points[qi[real]] - points[pi[real]]) ** 2, axis=1)
-            return float(math.sqrt(float(np.min(d2))))
-        radius *= 2.0
-
-
 # ---------------------------------------------------------------------------
 # Lattices
 
@@ -330,11 +315,11 @@ def cut_and_project(cfg: CutProjectConfig) -> PointSet:
     from the output; exact collisions raise NotUniformlyDiscrete.
 
     The result is not validated again, because every check would pass by
-    construction. r is sqrt(min d2) over all pairs, with d2 computed by
-    ``pairs_within``'s own expression, and the check queries r*(1 - 1e-9),
-    so it finds no pair. ``_enumerate_strip`` keeps only norms within the
-    window, and the GridIndex in ``_min_pair_distance`` rejects non-finite
-    coordinates.
+    construction. r is sqrt(min d2) over all pairs, with d2 from
+    ``GridIndex.nn_d2``, which shares the validation's expression, and the
+    check caps at r*(1 - 1e-9), so it finds no pair. ``_enumerate_strip``
+    keeps only norms within the window, and the GridIndex rejects
+    non-finite coordinates.
     """
     findings: list[str] = []
     for row in cfg.E_basis:
@@ -353,8 +338,11 @@ def cut_and_project(cfg: CutProjectConfig) -> PointSet:
                         validate=False)
     spacing_guess = (ball_volume(cfg.physical_dim, cfg.output_radius)
                      / len(points)) ** (1.0 / cfg.physical_dim)
-    r = _min_pair_distance(points, spacing_guess)
-    if r is None or r <= 1e-12:
+    # two spacings per cell: most points certify their nearest neighbour
+    # within the first shell
+    grid = GridIndex(points, max(2.0 * spacing_guess, 1e-9))
+    r = math.sqrt(float(np.min(grid.nn_d2(points, exclude_self=True))))
+    if r <= 1e-12:
         raise NotUniformlyDiscrete(
             "deformation collapsed distinct projections (measured r = 0)")
     return PointSet(points, cfg.output_radius, r, validate=False)

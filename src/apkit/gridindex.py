@@ -5,6 +5,11 @@ codes are sorted so each query resolves its candidate buckets with two binary
 searches. All query methods are vectorized over query batches and use closed
 Euclidean balls. The cell size is a tuning knob: pick it near the query
 radius so each lookup touches a bounded number of neighbor cells.
+
+``nn_d2`` is the one nearest-distance search: every "how far is the nearest
+other point" question goes through it, except the scale metric's shared pair
+lists and ``dtilde``'s exact-match probe. It computes d2 with ``pairs_within``'s own expression, so its
+minima compare exactly with a pair query's.
 """
 
 from __future__ import annotations
@@ -45,9 +50,9 @@ class GridIndex:
     def __init__(self, points: np.ndarray, cell_size: float):
         points = np.asarray(points, dtype=float)
         if points.ndim != 2:
-            raise ValueError("points must be an (N, dim) array")
+            raise InvalidArgument("points must be an (N, dim) array")
         if not (cell_size > 0.0):
-            raise ValueError("cell_size must be positive")
+            raise InvalidArgument("cell_size must be positive")
         self.points = points
         self.cell = float(cell_size)
         self.dim = points.shape[1]
@@ -124,38 +129,47 @@ class GridIndex:
         return self.count_within(queries, radius) > 0
 
     def nn_dist(self, queries: np.ndarray, r_max: float = np.inf) -> np.ndarray:
-        """Distance to the nearest indexed point, inf if none within r_max.
+        """Distance to the nearest indexed point, inf if none within r_max."""
+        return np.sqrt(self.nn_d2(queries, r_max))
 
+    def nn_d2(self, queries: np.ndarray, r_max: float = np.inf,
+              exclude_self: bool = False) -> np.ndarray:
+        """Least squared distance to the indexed points; inf beyond r_max.
+
+        With exclude_self the queries are the indexed points, row for row,
+        and each skips its own row only: an exact duplicate still reads 0.
         Expands Chebyshev cell shells; a query stops once its best distance
-        is certified (points in farther shells are strictly farther).
+        is certified (points in farther shells are strictly farther). A
+        capped query visits the cells ``pairs_within(queries, r_max)`` does.
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
-        nq = queries.shape[0]
-        best = np.full(nq, np.inf)
-        if self._order.size == 0:
+        best = np.full(queries.shape[0], np.inf)
+        if self._order.size == 0 or best.size == 0:
             return best
         qcells = np.floor(queries / self.cell).astype(np.int64)
         # the farthest shell that can still contain indexed cells
         lo_gap = qcells - self._mins
         hi_gap = (self._mins + self._extents - 1) - qcells
-        k_grid = int(np.max(np.maximum(np.abs(lo_gap), np.abs(hi_gap))))
-        k_limit = k_grid
+        k_limit = int(np.max(np.maximum(np.abs(lo_gap), np.abs(hi_gap))))
         if np.isfinite(r_max):
-            k_limit = min(k_grid, int(np.ceil(r_max / self.cell)) + 1)
-        pending = np.arange(nq)
+            k_limit = min(k_limit, int(np.ceil(r_max / self.cell)))
+        pending = np.arange(best.size)
         for k in range(0, k_limit + 1):
-            if pending.size == 0:
-                break
             for off in itertools.product(range(-k, k + 1), repeat=self.dim):
                 if max(abs(o) for o in off) != k:
                     continue
                 qrows, prows = self._bucket(qcells[pending] + np.asarray(off, dtype=np.int64))
+                qrows = pending[qrows]
+                if exclude_self:
+                    other = qrows != prows
+                    qrows, prows = qrows[other], prows[other]
                 if qrows.size == 0:
                     continue
-                d = np.sqrt(np.sum((self.points[prows] - queries[pending[qrows]]) ** 2,
-                                   axis=1))
-                np.minimum.at(best, pending[qrows], d)
+                d2 = np.sum((self.points[prows] - queries[qrows]) ** 2, axis=1)
+                np.minimum.at(best, qrows, d2)
             # shells beyond k sit at distance > k*cell from any query point
-            pending = pending[best[pending] > k * self.cell]
-        best[best > r_max] = np.inf
+            pending = pending[best[pending] > (k * self.cell) ** 2]
+            if pending.size == 0:
+                break
+        best[best > r_max * r_max] = np.inf
         return best

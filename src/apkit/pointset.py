@@ -164,14 +164,14 @@ class PointSet:
     validate : bool
         When true (default), check that the points are finite, lie inside
         the window and respect the hardcore radius (one grid build and one
-        pair query). Only sets that pass it by construction skip it:
-        subsets and translates of a checked set (``translate``, the mismatch
-        sets), ``cut_and_project`` (r is the measured minimum distance) and
-        the ``randomized_lattice`` and ``matern_II`` samplers (a translate of
-        a checked lattice; dependent thinning). External inputs always
-        validate: ``PointSet(...)`` by default, ``read_pointset_csv`` and
-        ``make_lattice``. So does the ``perturbed_lattice`` sampler, whose r
-        may come close to 0.
+        capped ``nn_d2`` query). Only sets that pass it by construction skip
+        it: subsets and translates of a checked set (``translate``, the
+        mismatch sets), ``cut_and_project`` (r is the measured minimum
+        distance) and the ``randomized_lattice`` and ``matern_II`` samplers
+        (a translate of a checked lattice; dependent thinning). External
+        inputs always validate: ``PointSet(...)`` by default,
+        ``read_pointset_csv`` and ``make_lattice``. So does the
+        ``perturbed_lattice`` sampler, whose r may come close to 0.
     """
 
     def __init__(self, points, window_radius: float, hardcore_radius: float,
@@ -205,14 +205,11 @@ class PointSet:
         r = self.hardcore_radius
         if len(self) > 1:
             cell = max(r, self.window_radius / 1024.0, 1e-12)
-            grid = GridIndex(self.points, cell)
-            qi, pi = grid.pairs_within(self.points, r * (1.0 - _REL_SLACK))
-            off = qi != pi
-            if np.any(off):
-                d = np.sqrt(np.sum((self.points[qi[off]] - self.points[pi[off]]) ** 2,
-                                   axis=1))
+            d2 = float(np.min(GridIndex(self.points, cell).nn_d2(
+                self.points, r * (1.0 - _REL_SLACK), exclude_self=True)))
+            if d2 < math.inf:
                 raise NotUniformlyDiscrete(
-                    f"pairwise distance {float(d.min()):.6g} below declared "
+                    f"pairwise distance {math.sqrt(d2):.6g} below declared "
                     f"hardcore radius {r:.6g}")
 
     def __len__(self) -> int:
@@ -435,21 +432,9 @@ def mean_nn_spacing(S: PointSet) -> float:
     if len(S) < 2:
         raise InvalidArgument("need at least two points")
     guess = (ball_volume(S.dim, S.window_radius) / len(S)) ** (1.0 / S.dim)
-    radius = max(2.0 * guess, 2.0 * S.hardcore_radius)
-    while True:
-        grid = S.grid(radius)
-        qi, pi = grid.pairs_within(S.points, radius)
-        real = qi != pi
-        best = np.full(len(S), np.inf)
-        if np.any(real):
-            d = np.sqrt(np.sum((S.points[qi[real]] - S.points[pi[real]]) ** 2,
-                               axis=1))
-            np.minimum.at(best, qi[real], d)
-        if np.all(np.isfinite(best)):
-            return float(np.mean(best))
-        if radius >= 2.0 * S.window_radius:
-            return float(np.mean(best[np.isfinite(best)]))
-        radius = min(radius * 2.0, 2.0 * S.window_radius)
+    d2 = S.grid(max(2.0 * guess, 2.0 * S.hardcore_radius)).nn_d2(
+        S.points, exclude_self=True)
+    return float(np.mean(np.sqrt(d2)))
 
 
 def relative_density_gap(candidates, search_radius: float,

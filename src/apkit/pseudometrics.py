@@ -64,16 +64,14 @@ def asymmetric_mismatch(S: PointSet, S2: PointSet, a: float) -> PointSet:
     """
     _check_pair(S, S2)
     if not (a > 0):
-        raise ValueError("mismatch scale a must be positive")
+        raise InvalidArgument("mismatch scale a must be positive")
     w_eval = min(S.window_radius, S2.window_radius) - a
     if w_eval <= 0:
         raise WindowTooSmall("windows too small for this mismatch scale")
-    sel = S.norms() <= w_eval * (1.0 + 1e-9)
-    pts = S.points[sel]
-    if len(pts) and len(S2):
-        hit = S2.grid(max(a, S2.hardcore_radius)).any_within(pts, a)
-        pts = pts[~hit]
-    return PointSet(pts, w_eval, S.hardcore_radius, validate=False)
+    pts = S.points[S.norms() <= w_eval * (1.0 + 1e-9)]
+    d2 = S2.grid(max(a, S2.hardcore_radius)).nn_d2(pts, a)
+    return PointSet(pts[~(d2 <= a * a)], w_eval, S.hardcore_radius,
+                    validate=False)
 
 
 def symmetric_mismatch(S: PointSet, S2: PointSet, a: float) -> PointSet:
@@ -91,11 +89,15 @@ def dbar(S: PointSet, S2: PointSet, radii, tol: float | None = None) -> float:
     The membership predicate is monotone in a, so bisection on
     [tol, r/2] locates the threshold; values at or below tol are reported
     as tol, and a predicate failing at the cap returns the cap.
+
+    Each point's least squared distance to the other set, capped at r/2, is
+    computed once; a bisection step masks the points of both sets to the
+    mismatch set that ``symmetric_mismatch(S, S2, a)`` would build.
     """
     _check_pair(S, S2)
     r = S.hardcore_radius
     if abs(S2.hardcore_radius - r) > 1e-12 * max(1.0, r):
-        raise ValueError("dbar needs a shared hardcore radius")
+        raise InvalidArgument("dbar needs a shared hardcore radius")
     if tol is None:
         tol = 1e-3 * r
     cap = r / 2.0
@@ -106,9 +108,17 @@ def dbar(S: PointSet, S2: PointSet, radii, tol: float | None = None) -> float:
     if radii[-1] > min_w - cap:
         raise RadiusExceedsWindow(
             f"density radii must stay within min window - r/2 = {min_w - cap:g}")
+    sides = [(A, B.grid(max(cap, B.hardcore_radius)).nn_d2(A.points, cap))
+             for A, B in ((S, S2), (S2, S))]
 
     def ok(a: float) -> bool:
-        return upper_density(symmetric_mismatch(S, S2, a), radii).value <= a
+        w_eval = min_w - a
+        if w_eval <= 0:
+            raise WindowTooSmall("windows too small for this mismatch scale")
+        pts = np.vstack([A.points[(A.norms() <= w_eval * (1.0 + 1e-9))
+                                  & ~(d2 <= a * a)] for A, d2 in sides])
+        mism = PointSet(pts, w_eval, r, validate=False)
+        return upper_density(mism, radii).value <= a
 
     if ok(tol):
         return tol

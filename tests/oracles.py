@@ -20,6 +20,24 @@ def brute_min_pair_distance(points) -> float:
     return best
 
 
+def brute_nn_d2(points, queries, r_max: float = math.inf,
+                exclude_self: bool = False) -> np.ndarray:
+    """Least squared distance from each query to the points, by a full scan.
+
+    Under exclude_self query row i skips point row i, and nothing else;
+    minima above r_max**2 read inf.
+    """
+    pts = np.asarray(points, dtype=float)
+    out = []
+    for i, q in enumerate(np.asarray(queries, dtype=float)):
+        d2 = np.sum((pts - q) ** 2, axis=1)
+        if exclude_self:
+            d2 = np.delete(d2, i)
+        best = float(np.min(d2)) if len(d2) else math.inf
+        out.append(best if best <= r_max * r_max else math.inf)
+    return np.array(out)
+
+
 def brute_nn_mean(points) -> float:
     pts = np.asarray(points, dtype=float)
     n = len(pts)
@@ -85,6 +103,36 @@ def brute_mismatch_points(A, B, a, w_eval):
         if len(B) == 0 or np.min(np.linalg.norm(B - x, axis=1)) > a:
             out.append(x)
     return np.array(out) if out else np.zeros((0, A.shape[1]))
+
+
+def brute_dbar(A, B, w: float, r: float, radii, tol: float) -> float:
+    """dbar by quadratic scans at every bisection scale.
+
+    A scale a passes when the points of both sets within w - a that have no
+    point of the other set within a have upper density at most a; w is the
+    smaller window and r the shared hardcore radius. Same bisection
+    schedule as the library.
+    """
+    dim = np.asarray(A).shape[1]
+
+    def ok(a):
+        pts = np.vstack([brute_mismatch_points(A, B, a, w - a),
+                         brute_mismatch_points(B, A, a, w - a)])
+        return brute_upper_density(pts, radii, dim) <= a
+
+    cap = r / 2.0
+    if ok(tol):
+        return tol
+    if not ok(cap):
+        return cap
+    lo, hi = tol, cap
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def brute_fourier_sum(points, k) -> complex:

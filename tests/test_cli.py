@@ -240,6 +240,18 @@ def test_metric_tol_out_of_range_exit_code(tmp_path, capsys, which, cfg):
     assert captured.err.startswith("error: tol must lie in")
 
 
+def test_metric_dbar_unshared_hardcore_exit_code(tmp_path, capsys):
+    a = write_set(tmp_path, ak.make_lattice([[1.0]], 40.0), "a.csv")
+    b = write_set(tmp_path, ak.PointSet(np.arange(-40.0, 41.0).reshape(-1, 1),
+                                        40.0, 0.5), "b.csv")
+    code = main(["metric", a, b, "--which", "dbar",
+                 "--config", write_config(tmp_path, {"radii": [10.0, 20.0]}),
+                 "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: dbar needs a shared hardcore")
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_metric_non_finite_row_exit_code(tmp_path, capsys, bad):
     a = tmp_path / "a.csv"
@@ -369,11 +381,14 @@ def test_diffract_criteria_single_radius_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "radii": [20.0], "k_lo": [-1.1], "k_hi": [1.1], "k_step": 1.0 / 80.0,
         "criteria": {"eps": 0.1, "ball_radius": 0.1, "search_radius": 3.0}})
-    code = main(["diffract", a, "--config", cfg, "--out", str(tmp_path)])
+    out = tmp_path / "out"
+    code = main(["diffract", a, "--config", cfg, "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: need at least two radii")
+    # the criteria run before any artifact is written
+    assert os.listdir(out) == []
 
 
 def test_diffract_criteria_one_point_exit_code(tmp_path, capsys):

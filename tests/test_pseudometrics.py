@@ -29,16 +29,24 @@ def test_asymmetric_mismatch_counts_unmatched_points():
     assert len(ak.asymmetric_mismatch(Z, Zs, 0.2)) == 0
 
 
-@settings(max_examples=15, deadline=None)
+def int_points(ints, dim: int) -> np.ndarray:
+    """Distinct integer points: n itself in 1D, (n // 8, n % 8) in 2D."""
+    ints = np.array(sorted(ints))
+    if dim == 1:
+        return ints.reshape(-1, 1).astype(float)
+    return np.stack([ints // 8, ints % 8], axis=1).astype(float)
+
+
+@settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(-30, 30), min_size=2, max_size=15, unique=True),
        st.lists(st.integers(-30, 30), min_size=2, max_size=15, unique=True),
-       st.floats(0.05, 2.0))
-def test_mismatch_matches_brute(a_ints, b_ints, a):
-    A = ak.PointSet(np.array(sorted(a_ints), float).reshape(-1, 1), 35.0, 0.9)
-    B = ak.PointSet(np.array(sorted(b_ints), float).reshape(-1, 1), 35.0, 0.9)
+       st.floats(0.05, 2.0), st.sampled_from([1, 2]))
+def test_mismatch_matches_brute(a_ints, b_ints, a, dim):
+    A = ak.PointSet(int_points(a_ints, dim), 35.0, 0.9)
+    B = ak.PointSet(int_points(b_ints, dim), 35.0, 0.9)
     got = ak.asymmetric_mismatch(A, B, a)
     want = oracles.brute_mismatch_points(A.points, B.points, a, 35.0 - a)
-    assert len(got) == len(want)
+    assert np.array_equal(got.points, want)
 
 
 def test_mismatch_window_too_small():
@@ -81,6 +89,31 @@ def test_dbar_symmetry():
     Z = z_lattice()
     Zs = shifted_lattice(0.15)
     assert ak.dbar(Z, Zs, RADII) == pytest.approx(ak.dbar(Zs, Z, RADII))
+
+
+@pytest.mark.parametrize("dim, window", [(1, 40.0), (2, 12.0)])
+def test_dbar_matches_brute_bisection(dim, window):
+    rng = np.random.default_rng(dim)
+    base = ak.make_lattice(np.eye(dim), window + 1.0).points
+    radii = [0.5 * window, 0.7 * window, window - 1.0]
+    got = []
+    # identical sets reach the tol floor, a half-spacing shift the r/2 cap,
+    # and moving a small share of the points lands in between
+    for moved, shift in ((0.0, 0.0), (1.0, 0.5), (0.3, 0.1), (0.05, 0.3),
+                         (0.03, 0.45)):
+        jitter = rng.uniform(-0.05, 0.05, size=base.shape)
+        offs = np.where(rng.random((len(base), 1)) < moved, shift, 0.0)
+        sets = []
+        for pts in (base + jitter, base + jitter + offs):
+            pts = pts[np.sum(pts ** 2, axis=1) <= window * window]
+            sets.append(ak.PointSet(pts, window, 0.3))
+        A, B = sets
+        value = ak.dbar(A, B, radii)
+        assert value == oracles.brute_dbar(A.points, B.points, window, 0.3,
+                                           radii, 1e-3 * 0.3)
+        got.append(value)
+    assert got[0] == pytest.approx(3e-4) and got[1] == 0.15
+    assert all(3e-4 < v < 0.15 for v in got[2:])
 
 
 def test_dbar_tol_out_of_range_is_invalid_argument():
