@@ -32,7 +32,7 @@ from .pointset import (
     ball_volume,
 )
 from .testfunc import TestFunction
-from .util import fmt_float, relative_spread
+from .util import fmt_float, schedule, tail_converged
 
 
 def _group_by_cell(locations: np.ndarray, cell: float):
@@ -299,11 +299,11 @@ def autocorrelation_limit(S: PointSet, radii, bin_tol: float | None = None,
     The returned measure is the one at the largest radius. Atoms carrying at
     least ``significance`` times the zero-atom weight are tracked across the
     schedule; the estimate is converged when every tracked weight series and
-    the zero-atom series have trailing relative spread below ``track_rtol``.
+    the zero-atom series pass ``util.tail_converged`` at ``track_rtol``.
     A shared difference cutoff (default twice the smallest radius) keeps the
     measures comparable across the schedule.
     """
-    radii = np.sort(np.asarray(radii, dtype=float))
+    radii = schedule(radii)
     if radii.size < 2:
         raise InvalidArgument("need at least two radii to track convergence")
     if diff_cutoff is None:
@@ -324,15 +324,12 @@ def autocorrelation_limit(S: PointSet, radii, bin_tol: float | None = None,
         grid = GridIndex(m.locations, max(final.bin_tol, m.bin_tol))
         qi, pi = grid.pairs_within(tracked_locs, final.bin_tol)
         np.add.at(tracked[:, j], qi, m.weights[pi])
-    half = max(2, len(radii) // 2)
-    ok = relative_spread(mass0[-half:]) < track_rtol
-    for row in tracked:
-        ok = ok and relative_spread(row[-half:]) < track_rtol
+    ok = all(tail_converged(row, track_rtol) for row in [mass0, *tracked])
     return AutocorrEstimate(
         measure=final,
         radius_schedule=radii,
         per_radius_mass_at_zero=mass0,
-        converged=bool(ok),
+        converged=ok,
         tracked_locations=tracked_locs,
         tracked_weights=tracked,
     )

@@ -37,7 +37,7 @@ from .pointset import (
 )
 from .pseudometrics import asymmetric_mismatch
 from .testfunc import TestFunction
-from .util import fmt_float, relative_spread, tail_mean
+from .util import fmt_float, schedule, tail_mean, tail_spread
 
 CRITERION_IDS = (
     "C3_gamma_concentration",
@@ -210,20 +210,19 @@ def atom_mass(S: PointSet, k, radii) -> tuple[float, float]:
     """Estimated diffraction atom mass at frequency k, with stability.
 
     m_R(k) = |fourier_sum(S, R, k)|^2 / |B_R|^2 along the schedule; returns
-    (tail mean, tail relative spread). The spread is the convergence
+    its ``util`` tail mean and tail spread. The spread is the convergence
     diagnostic: near zero for a true atom, order one for continuous spectrum.
     """
     k = np.asarray(k, dtype=float).reshape(1, -1)
     if k.shape[1] != S.dim:
         raise DimensionMismatch("frequency dimension differs from the set")
-    radii = np.sort(np.asarray(radii, dtype=float))
+    radii = schedule(radii)
     series = np.empty(len(radii))
     for i, R in enumerate(radii):
         P = _ball_points(S, float(R))
         vol = ball_volume(S.dim, float(R))
         series[i] = float(np.abs(_fourier_sums(P, k)[0]) ** 2) / vol ** 2
-    half = max(1, len(series) // 2)
-    return tail_mean(series, 0.5), relative_spread(series[-half:])
+    return tail_mean(series), tail_spread(series)
 
 
 @dataclass
@@ -282,9 +281,12 @@ def detect_bragg_peaks(S: PointSet, radii, k_grid: KGrid,
     threshold * |B_R| are refined by per-axis golden-section search on the
     squared Fourier modulus, then scored by atom_mass along the schedule;
     peaks below threshold mass or above the stability bound are dropped.
-    The default threshold is 0.05 times the squared counting density.
+    The default threshold is 0.05 times the squared counting density; one
+    radius cannot score stability, so the schedule needs two.
     """
-    radii = np.sort(np.asarray(radii, dtype=float))
+    radii = schedule(radii)
+    if radii.size < 2:
+        raise InvalidArgument("need at least two radii to score peak stability")
     R = float(radii[-1])
     if len(S) == 0:
         return []
@@ -463,7 +465,7 @@ def criterion_almost_periods(S: PointSet, eps: float, t_candidates, radii, *,
     cand = np.atleast_2d(np.asarray(t_candidates, dtype=float))
     if cand.shape[1] != S.dim:
         raise DimensionMismatch("candidate dimension differs from the set")
-    radii = np.sort(np.asarray(radii, dtype=float))
+    radii = schedule(radii)
     need = float(np.max(np.sqrt(np.sum(cand ** 2, axis=1)))) + eps + radii[-1]
     if need > S.window_radius * (1.0 + 1e-9):
         raise TranslationExceedsWindow(

@@ -28,6 +28,7 @@ from .errors import (
 )
 from .gridindex import GridIndex
 from .pointset import PointSet, RegionSpec, ball_volume
+from .util import schedule
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -35,10 +36,29 @@ SAMPLER_KINDS = ("randomized_model_set", "randomized_lattice", "matern_II",
                  "perturbed_lattice")
 
 _ENUM_LIMIT = 300_000_000
+_BLOCK_ROWS = 2_000_000
 
 
 # ---------------------------------------------------------------------------
 # Lattices
+
+
+def _box_blocks(lo: np.ndarray, hi: np.ndarray, what: str):
+    """The integer box lo..hi (inclusive) as row-major int64 row blocks.
+
+    Raises ConfigError, before allocating anything, when the box holds more
+    than _ENUM_LIMIT points. Each block holds about _BLOCK_ROWS rows.
+    """
+    total = int(np.prod((hi - lo + 1).astype(object)))
+    if total > _ENUM_LIMIT:
+        raise ConfigError(f"{what} would scan {total} lattice points; "
+                          "reduce the radius or the window")
+    axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(lo, hi)]
+    rest = int(np.prod([len(a) for a in axes[1:]]))
+    block = max(1, _BLOCK_ROWS // max(rest, 1))
+    return (np.stack(np.meshgrid(axes[0][s:s + block], *axes[1:],
+                                 indexing="ij"), axis=-1).reshape(-1, len(axes))
+            for s in range(0, len(axes[0]), block))
 
 
 def make_lattice(basis, window_radius: float) -> PointSet:
@@ -55,10 +75,12 @@ def make_lattice(basis, window_radius: float) -> PointSet:
         raise SingularBasis("basis vectors are linearly dependent")
     inv = np.linalg.inv(B)
     bounds = np.ceil(window_radius * np.sqrt(np.sum(inv ** 2, axis=0)) + 1e-9)
-    axes = [np.arange(-b, b + 1) for b in bounds]
-    M = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    pts = M @ B
-    pts = pts[np.sum(pts ** 2, axis=1) <= window_radius ** 2 * (1 + 1e-12)]
+    parts = []
+    for M in _box_blocks(-bounds, bounds, "lattice enumeration"):
+        pts = M.astype(float) @ B
+        parts.append(
+            pts[np.sum(pts ** 2, axis=1) <= window_radius ** 2 * (1 + 1e-12)])
+    pts = np.concatenate(parts)
     # shortest nonzero lattice vector over a small combination box
     small = np.stack(np.meshgrid(*([np.arange(-4, 5)] * d), indexing="ij"),
                      axis=-1).reshape(-1, d)
@@ -260,21 +282,9 @@ def _enumerate_strip(cfg: CutProjectConfig):
     rho = math.sqrt(rho_E ** 2 + cfg.window.outer_radius() ** 2)
     lo = np.floor(-rho - cfg.torus_offset).astype(np.int64)
     hi = np.ceil(rho - cfg.torus_offset).astype(np.int64)
-    sizes = (hi - lo + 1).astype(object)
-    total = int(np.prod(sizes))
-    if total > _ENUM_LIMIT:
-        raise ConfigError(
-            f"strip enumeration would scan {total} lattice points; "
-            "reduce output_radius or the window")
-    axes = [np.arange(lo[i], hi[i] + 1, dtype=np.int64) for i in range(cfg.n)]
-    rest = int(np.prod([len(a) for a in axes[1:]])) if cfg.n > 1 else 1
-    block = max(1, 2_000_000 // max(rest, 1))
     phys_parts = []
     grazes = 0
-    for s in range(0, len(axes[0]), block):
-        first = axes[0][s:s + block]
-        mesh = np.stack(np.meshgrid(first, *axes[1:], indexing="ij"),
-                        axis=-1).reshape(-1, cfg.n)
+    for mesh in _box_blocks(lo, hi, "strip enumeration"):
         z = mesh + cfg.torus_offset
         w = z @ cfg.F_basis.T
         grazes += int(np.count_nonzero(_graze_mask(cfg.window, w)))
@@ -662,7 +672,7 @@ def verify_acpalm(p: ProcessSampler, A: RegionSpec, radii, n_seeds: int = 20,
     A along the radius schedule; its final value is compared to the Palm
     intensity estimate. Returns a JSON-ready report with per-seed deviations.
     """
-    radii = np.sort(np.asarray(radii, dtype=float))
+    radii = schedule(radii)
     palm = palm_intensity(p, A, n_samples=n_palm_samples)
     cutoff = A.outer_radius() + 1.0
 

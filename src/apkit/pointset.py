@@ -33,7 +33,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .gridindex import GridIndex
-from .util import fmt_float, tail_converged, tail_max
+from .util import fmt_float, schedule, tail_converged, tail_max
 
 #: upper cap of the scale metric; reached when no covering scale certifies
 METRIC_CAP = 1.0 / math.sqrt(2.0)
@@ -131,9 +131,9 @@ class RegionSpec:
 class DensityEstimate:
     """Counting-density estimate along a radius schedule.
 
-    ``value`` is the max over the trailing half of ``tail_values`` (a limsup
-    surrogate); ``converged`` reports whether the trailing quarter's relative
-    spread fell below the threshold.
+    ``value`` is the max over the tail of ``tail_values`` (a limsup
+    surrogate); ``converged`` is ``util.tail_converged`` of them, so a
+    one-radius schedule never converges.
     """
 
     value: float
@@ -402,16 +402,13 @@ def metric_d(S: PointSet, S2: PointSet, tol: float = 1e-3) -> float:
     return hi
 
 
-def upper_density(S: PointSet, radii, tail_fraction: float = 0.5,
-                  converge_rtol: float = 0.05) -> DensityEstimate:
+def upper_density(S: PointSet, radii) -> DensityEstimate:
     """Counting density count(B_R)/|B_R| along a radius schedule.
 
-    The headline value is the max over the trailing half of the schedule,
+    The headline value is the max over the schedule's tail (``util.tail``),
     a finite-scale stand-in for the upper density limsup.
     """
-    radii = np.sort(np.asarray(radii, dtype=float))
-    if radii.size == 0 or not (0 < radii[0] and radii[-1] < math.inf):
-        raise InvalidArgument("radii must be positive and finite")
+    radii = schedule(radii)
     if radii[-1] > S.window_radius * (1.0 + _REL_SLACK):
         raise RadiusExceedsWindow(
             f"schedule reaches {radii[-1]:.6g}, window is {S.window_radius:.6g}")
@@ -419,12 +416,8 @@ def upper_density(S: PointSet, radii, tail_fraction: float = 0.5,
     counts = np.searchsorted(sorted_norms, radii * (1.0 + _REL_SLACK), side="right")
     vols = np.array([ball_volume(S.dim, r) for r in radii])
     values = counts / vols
-    return DensityEstimate(
-        value=tail_max(values, tail_fraction),
-        radii_used=radii,
-        tail_values=values,
-        converged=tail_converged(values, rtol=converge_rtol),
-    )
+    return DensityEstimate(tail_max(values), radii, values,
+                           tail_converged(values))
 
 
 def mean_nn_spacing(S: PointSet) -> float:

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .pointset import PointSet, metric_d, translate, upper_density
 from .testfunc import TestFunction
-from .util import tail_converged, tail_max
+from .util import schedule, tail_converged, tail_max
 
 
 @dataclass
@@ -103,7 +103,7 @@ def dbar(S: PointSet, S2: PointSet, radii, tol: float | None = None) -> float:
     cap = r / 2.0
     if not (0 < tol < cap):
         raise InvalidArgument("tol must lie in (0, r/2)")
-    radii = np.sort(np.asarray(radii, dtype=float))
+    radii = schedule(radii)
     min_w = min(S.window_radius, S2.window_radius)
     if radii[-1] > min_w - cap:
         raise RadiusExceedsWindow(
@@ -147,6 +147,15 @@ def _midpoint_grid(R: float, dim: int, quad_points: int):
     return nodes[keep], h
 
 
+def _ball_report(nodes: np.ndarray, h: float, vals: np.ndarray,
+                 radii: np.ndarray) -> PseudoMetricReport:
+    """Means of the node values over the nested balls of the schedule."""
+    norms = np.sqrt(np.sum(nodes ** 2, axis=1))
+    per_radius = np.array([float(np.mean(vals[norms <= rr])) for rr in radii])
+    return PseudoMetricReport(tail_max(per_radius), radii, per_radius,
+                              tail_converged(per_radius), h)
+
+
 def dbar_c(S: PointSet, S2: PointSet, R: float, quad_points: int = 48,
            tol: float = 1e-2, schedule_fractions=(0.4, 0.6, 0.8, 1.0)
            ) -> PseudoMetricReport:
@@ -154,27 +163,18 @@ def dbar_c(S: PointSet, S2: PointSet, R: float, quad_points: int = 48,
 
     Midpoint quadrature on the translation ball B_R; per_radius reports the
     running averages over the nested sub-balls R * schedule_fractions, and
-    the headline value is the max over the trailing half of that schedule.
+    the headline value is the max over that schedule's tail.
     """
     _check_pair(S, S2)
+    radii = schedule(R * np.asarray(schedule_fractions, dtype=float))
     min_w = min(S.window_radius, S2.window_radius)
     if R + 1.0 / tol > min_w * (1.0 + 1e-9):
         raise WindowTooSmall(
             f"need window >= R + 1/tol = {R + 1.0 / tol:g}, have {min_w:g}")
     nodes, h = _midpoint_grid(R, S.dim, quad_points)
-    vals = np.array([
-        metric_d(translate(S, t), translate(S2, t), tol) for t in nodes
-    ])
-    norms = np.sqrt(np.sum(nodes ** 2, axis=1))
-    schedule = np.array([f * R for f in schedule_fractions])
-    per_radius = np.array([float(np.mean(vals[norms <= rr])) for rr in schedule])
-    return PseudoMetricReport(
-        value=tail_max(per_radius),
-        radius_schedule=schedule,
-        per_radius=per_radius,
-        converged=tail_converged(per_radius),
-        pitch=h,
-    )
+    vals = np.array([metric_d(translate(S, t), translate(S2, t), tol)
+                     for t in nodes])
+    return _ball_report(nodes, h, vals, radii)
 
 
 def _mu_conv_f_batch(S: PointSet, f: TestFunction, u: np.ndarray) -> np.ndarray:
@@ -218,22 +218,14 @@ def dbar_f(S: PointSet, S2: PointSet, f: TestFunction, radii,
     if f.support_bound() > r / 5.0 + 1e-12:
         raise SupportTooLarge(
             f"support bound {f.support_bound():g} exceeds r/5 = {r / 5.0:g}")
-    radii = np.sort(np.asarray(radii, dtype=float))
+    radii = schedule(radii)
     min_w = min(S.window_radius, S2.window_radius)
     if radii[-1] + f.support_bound() > min_w * (1.0 + 1e-9):
         raise RadiusExceedsWindow(
             "radius schedule plus bump support exceeds the windows")
     nodes, h = _midpoint_grid(float(radii[-1]), S.dim, quad_points)
     diff = np.abs(_mu_conv_f_batch(S, f, nodes) - _mu_conv_f_batch(S2, f, nodes))
-    norms = np.sqrt(np.sum(nodes ** 2, axis=1))
-    per_radius = np.array([float(np.mean(diff[norms <= rr])) for rr in radii])
-    return PseudoMetricReport(
-        value=tail_max(per_radius),
-        radius_schedule=radii,
-        per_radius=per_radius,
-        converged=tail_converged(per_radius),
-        pitch=h,
-    )
+    return _ball_report(nodes, h, diff, radii)
 
 
 def dtilde(S: PointSet, S2: PointSet, radii, match_tol: float = 1e-12) -> float:
@@ -243,7 +235,7 @@ def dtilde(S: PointSet, S2: PointSet, radii, match_tol: float = 1e-12) -> float:
     large under any true offset no matter how small; compare dbar.
     """
     _check_pair(S, S2)
-    radii = np.sort(np.asarray(radii, dtype=float))
+    radii = schedule(radii)
     min_w = min(S.window_radius, S2.window_radius)
     if radii[-1] > min_w * (1.0 + 1e-9):
         raise RadiusExceedsWindow("radius schedule exceeds the shared window")

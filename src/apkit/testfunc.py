@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import InvalidArgument
 
 SHAPES = ("triangle_bump", "cosine_bump")
 
@@ -33,11 +36,13 @@ class TestFunction:
 
     def __post_init__(self):
         if self.shape not in SHAPES:
-            raise ValueError(f"shape must be one of {SHAPES}")
-        if not (self.support_radius > 0):
-            raise ValueError("support_radius must be positive")
-        object.__setattr__(self, "center",
-                           np.asarray(self.center, dtype=float).reshape(-1))
+            raise InvalidArgument(f"shape must be one of {SHAPES}")
+        if not (0 < self.support_radius < math.inf):
+            raise InvalidArgument("support_radius must be positive and finite")
+        center = np.asarray(self.center, dtype=float).reshape(-1)
+        if not (math.isfinite(self.amplitude) and np.all(np.isfinite(center))):
+            raise InvalidArgument("amplitude and center must be finite")
+        object.__setattr__(self, "center", center)
 
     @property
     def dim(self) -> int:

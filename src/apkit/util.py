@@ -1,27 +1,35 @@
-"""Small shared helpers: tail statistics and deterministic formatting."""
+"""Shared helpers: radius schedules, their tails, deterministic formatting."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-# Relative spread below which a tail of estimates counts as converged.
-DEFAULT_CONVERGENCE_RTOL = 0.05
+from .errors import InvalidArgument
 
 
-def tail_slice(values, fraction: float):
-    """Last `fraction` of a sequence, never empty."""
+def schedule(radii) -> np.ndarray:
+    """Sorted float radii; InvalidArgument unless nonempty, positive, finite."""
+    radii = np.sort(np.asarray(radii, dtype=float).reshape(-1))
+    if radii.size == 0 or not (0 < radii[0] and radii[-1] < math.inf):
+        raise InvalidArgument("radii must be positive and finite")
+    return radii
+
+
+def tail(values) -> np.ndarray:
+    """The last ceil(n/2) values: the large-radius end of a schedule."""
     arr = np.asarray(values, dtype=float)
-    k = max(1, int(np.ceil(len(arr) * fraction)))
-    return arr[-k:]
+    return arr[len(arr) // 2:]
 
 
-def tail_max(values, fraction: float = 0.5) -> float:
-    """Max over the trailing half of a schedule: the limsup surrogate."""
-    return float(np.max(tail_slice(values, fraction)))
+def tail_max(values) -> float:
+    """Max over the tail: the limsup surrogate."""
+    return float(np.max(tail(values)))
 
 
-def tail_mean(values, fraction: float = 0.5) -> float:
-    return float(np.mean(tail_slice(values, fraction)))
+def tail_mean(values) -> float:
+    return float(np.mean(tail(values)))
 
 
 def relative_spread(values) -> float:
@@ -33,13 +41,17 @@ def relative_spread(values) -> float:
     return float((np.max(arr) - np.min(arr)) / scale)
 
 
-def tail_converged(values, fraction: float = 0.25,
-                   rtol: float = DEFAULT_CONVERGENCE_RTOL) -> bool:
-    """Converged when the trailing quarter's relative spread is below rtol."""
-    return relative_spread(tail_slice(values, fraction)) < rtol
+def tail_spread(values) -> float:
+    """Relative spread of the tail widened to two values; inf for one value."""
+    arr = np.asarray(values, dtype=float)
+    return (relative_spread(arr[min(len(arr) // 2, len(arr) - 2):])
+            if len(arr) > 1 else math.inf)
+
+
+def tail_converged(values, rtol: float = 0.05) -> bool:
+    return tail_spread(values) < rtol
 
 
 def fmt_float(x: float) -> str:
     """17 significant digits: enough to round-trip a double exactly."""
     return format(float(x), ".17g")
-

@@ -31,6 +31,7 @@ from .diffraction import (
     detect_bragg_peaks,
     peak_span_gap,
 )
+from .errors import InvalidArgument
 from .generators import (
     GOLDEN_RATIO,
     ProcessSampler,
@@ -578,7 +579,7 @@ def run_checks(seed: int = 0, only: str | None = None,
                peak_threshold_scale: float | None = None) -> dict:
     """Run the verification corpus; JSON-ready summary, stable under reruns."""
     if only is not None and only not in _CHECKS:
-        raise KeyError(
+        raise InvalidArgument(
             f"unknown check tag {only!r}; known tags: {', '.join(CHECK_TAGS)}")
     results = []
     for tag in CHECK_TAGS:

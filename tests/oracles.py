@@ -20,6 +20,17 @@ def brute_min_pair_distance(points) -> float:
     return best
 
 
+def brute_lattice_points(basis, window_radius: float) -> np.ndarray:
+    """Integer combinations of the basis rows in the closed ball, one meshgrid."""
+    B = np.asarray(basis, dtype=float)
+    inv = np.linalg.inv(B)
+    bounds = np.ceil(window_radius * np.sqrt(np.sum(inv ** 2, axis=0)) + 1e-9)
+    axes = [np.arange(-b, b + 1) for b in bounds]
+    M = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(B))
+    pts = M @ B
+    return pts[np.sum(pts ** 2, axis=1) <= window_radius ** 2 * (1 + 1e-12)]
+
+
 def brute_nn_d2(points, queries, r_max: float = math.inf,
                 exclude_self: bool = False) -> np.ndarray:
     """Least squared distance from each query to the points, by a full scan.

@@ -376,19 +376,29 @@ def one_point_2d(tmp_path) -> str:
     return write_set(tmp_path, S, "one.csv")
 
 
-def test_diffract_criteria_single_radius_exit_code(tmp_path, capsys):
+def assert_single_radius_refused(tmp_path, capsys, **extra):
     a = write_set(tmp_path, ak.make_lattice([[1.0]], 20.0), "a.csv")
     cfg = write_config(tmp_path, {
         "radii": [20.0], "k_lo": [-1.1], "k_hi": [1.1], "k_step": 1.0 / 80.0,
-        "criteria": {"eps": 0.1, "ball_radius": 0.1, "search_radius": 3.0}})
+        **extra})
     out = tmp_path / "out"
     code = main(["diffract", a, "--config", cfg, "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: need at least two radii")
-    # the criteria run before any artifact is written
+    # the schedule is refused before any artifact is written
     assert os.listdir(out) == []
+
+
+def test_diffract_criteria_single_radius_exit_code(tmp_path, capsys):
+    assert_single_radius_refused(tmp_path, capsys, criteria={
+        "eps": 0.1, "ball_radius": 0.1, "search_radius": 3.0})
+
+
+def test_diffract_single_radius_exit_code(tmp_path, capsys):
+    # one radius cannot score peak stability; every peak used to be dropped
+    assert_single_radius_refused(tmp_path, capsys)
 
 
 def test_diffract_criteria_one_point_exit_code(tmp_path, capsys):
@@ -541,6 +551,18 @@ def test_non_finite_config_numbers_exit_code(tmp_path, capsys, command, doc):
                       "k_step": math.nan}),
     ("diffract", [], {"radii": [10.0], "k_lo": [-math.inf], "k_hi": [1.0],
                       "k_step": 0.1}),
+    ("metric", ["--which", "dbarf"], {"radii": [10.0, 20.0], "f": {
+        "shape": "triangle_bump", "support_radius": math.nan}}),
+    ("metric", ["--which", "dbarf"], {"radii": [10.0, 20.0], "f": {
+        "shape": "triangle_bump", "support_radius": 0.1,
+        "center": [math.nan]}}),
+    ("metric", ["--which", "dbarf"], {"radii": [10.0, 20.0], "f": {
+        "shape": "triangle_bump", "support_radius": 0.1,
+        "amplitude": math.nan}}),
+    ("metric", ["--which", "dbarf"], {"radii": [math.nan], "f": {
+        "shape": "triangle_bump", "support_radius": 0.1}}),
+    ("metric", ["--which", "dbarc"], {"R": 5.0, "tol": 0.1, "quad_points": 8,
+                                      "schedule_fractions": [math.nan]}),
 ])
 def test_non_finite_file_command_numbers_exit_code(tmp_path, capsys, command,
                                                    extra, doc):
@@ -591,6 +613,11 @@ def test_verify_single_check(tmp_path, capsys):
 def test_verify_unknown_tag(tmp_path, capsys):
     code, _ = run(capsys, "verify", "--only", "bogus", "--out", str(tmp_path))
     assert code == 2
+
+
+def test_run_checks_unknown_tag_is_invalid_argument():
+    with pytest.raises(ak.InvalidArgument, match="unknown check tag"):
+        ak.run_checks(only="bogus")
 
 
 def test_verify_misconfigured_threshold_fails_honestly(tmp_path, capsys):

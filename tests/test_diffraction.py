@@ -275,6 +275,15 @@ def test_atom_mass_lattice_frequencies():
     assert mass_half < 1e-5
 
 
+def test_atom_mass_off_peak_stability_on_three_radii():
+    # |F_R(1/2)| = 1 on Z, so m_R = 1/(2R)^2 falls along the schedule; the
+    # last two of three radii give 1 - (3/4)^2, where one value gave 0
+    mass, stability = ak.atom_mass(z_lattice(200.0), [0.5],
+                                   [100.0, 150.0, 200.0])
+    assert mass == pytest.approx((1 / 300 ** 2 + 1 / 400 ** 2) / 2)
+    assert stability == pytest.approx(7 / 16)
+
+
 def test_atom_mass_single_point():
     S = ak.PointSet(np.array([[0.0]]), 5.0, 1.0)
     mass, spread = ak.atom_mass(S, [0.7], [2.0, 4.0])
@@ -296,6 +305,23 @@ def test_lattice_bragg_peaks_found_at_integers():
     for p in peaks:
         assert p.mass == pytest.approx(1.0, rel=0.01)
         assert p.stability < 0.01
+
+
+@pytest.mark.filterwarnings("ignore:no E-basis vector")
+def test_octagonal_peak_stability_is_measured():
+    # three radii: the stability used to be the spread of one value, 0.0
+    S = ak.cut_and_project(octagonal_config(16.0))
+    g = ak.KGrid([-0.75, -0.75], [0.75, 0.75], 1.0 / 64.0)
+    peaks = ak.detect_bragg_peaks(S, [10.0, 13.0, 16.0], g)
+    assert len(peaks) == 9
+    for p in peaks:
+        assert 0.0 < p.stability < 0.2
+
+
+def test_detect_peaks_needs_two_radii():
+    g = ak.KGrid([-1.1], [1.1], 1.0 / 80.0)
+    with pytest.raises(ak.InvalidArgument, match="need at least two radii"):
+        ak.detect_bragg_peaks(z_lattice(20.0), [20.0], g)
 
 
 def test_detect_peaks_empty_set():

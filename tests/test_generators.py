@@ -7,6 +7,7 @@ import pytest
 
 import apkit as ak
 import oracles
+from apkit import generators
 from apkit.generators import (_cached_lattice, _lattice_base,
                               _project_counting_grazes)
 
@@ -44,6 +45,36 @@ def test_lattice_rejects_singular_basis():
         ak.make_lattice([[1.0, 1.0], [1.0, 1.0]], 5.0)
     with pytest.raises(ak.SingularBasis):
         ak.make_lattice([[1.0, 0.0]], 5.0)
+
+
+@pytest.mark.parametrize("basis, window", [
+    ([[1.3]], 40.0),
+    ([[1.0, 0.2], [0.3, 0.9]], 12.0),
+    ([[1.0, 0.1, 0.0], [0.0, 1.0, 0.2], [0.3, 0.0, 1.1]], 5.0),
+])
+@pytest.mark.parametrize("block_rows", [7, 2_000_000])
+def test_make_lattice_blocks_equal_one_meshgrid(monkeypatch, basis, window,
+                                                block_rows):
+    monkeypatch.setattr(generators, "_BLOCK_ROWS", block_rows)
+    S = ak.make_lattice(basis, window)
+    want = ak.PointSet(oracles.brute_lattice_points(basis, window), window,
+                       S.hardcore_radius, validate=False)
+    assert S.points.tobytes() == want.points.tobytes()
+
+
+def test_make_lattice_refuses_a_box_over_the_limit(monkeypatch):
+    monkeypatch.setattr(generators, "_ENUM_LIMIT", 528)
+    with pytest.raises(ak.ConfigError, match="would scan 529 lattice points"):
+        ak.make_lattice([[1.0, 0.0], [0.0, 1.0]], 10.0)
+    monkeypatch.setattr(generators, "_ENUM_LIMIT", 529)
+    assert len(ak.make_lattice([[1.0, 0.0], [0.0, 1.0]], 10.0)) == \
+        oracles.gauss_disc_count(10.0)
+
+
+def test_strip_refuses_a_box_over_the_limit(monkeypatch):
+    monkeypatch.setattr(generators, "_ENUM_LIMIT", 100)
+    with pytest.raises(ak.ConfigError, match="would scan"):
+        fib_points(20.0)
 
 
 def test_lattice_covolume():

@@ -348,6 +348,28 @@ def test_upper_density_matches_brute(ints):
         oracles.brute_upper_density(pts, radii, 1), rel=1e-12)
 
 
+def falling_density_set() -> ak.PointSet:
+    # spacing 0.25 out to 20, 1.5 out to 100 and 4 out to 190
+    half = np.concatenate([np.arange(0.25, 20.0 + 1e-9, 0.25),
+                           20.0 + np.arange(1.5, 80.0 + 1e-9, 1.5),
+                           100.0 + np.arange(4.0, 90.0 + 1e-9, 4.0)])
+    pts = np.concatenate([-half[::-1], [0.0], half]).reshape(-1, 1)
+    return ak.PointSet(pts, 190.0, 0.2)
+
+
+@pytest.mark.parametrize("radii", [[20.0, 100.0, 190.0],
+                                   [20.0, 60.0, 100.0, 190.0]])
+def test_falling_density_does_not_converge(radii):
+    # the trailing quarter held one value on both schedules, so this
+    # density falling 4.03 -> 1.34 -> 0.82 used to read converged
+    est = ak.upper_density(falling_density_set(), radii)
+    assert est.tail_values[0] == pytest.approx(161 / 40)
+    assert est.tail_values[-2] == pytest.approx(267 / 200)
+    assert est.tail_values[-1] == pytest.approx(311 / 380)
+    assert est.value == est.tail_values[-2]
+    assert not est.converged
+
+
 def test_density_estimate_json_fields():
     est = ak.upper_density(z_lattice(50.0), [20.0, 40.0])
     doc = est.to_json()

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from apkit import TestFunction
+from apkit import InvalidArgument, TestFunction
 import oracles
 
 
@@ -51,3 +53,15 @@ def test_json_round_trip():
 def test_unknown_shape_rejected():
     with pytest.raises(ValueError):
         TestFunction("step", 1.0, 1.0, [0.0])
+    with pytest.raises(InvalidArgument, match="shape"):
+        TestFunction("step", 1.0, 1.0, [0.0])
+
+
+@pytest.mark.parametrize("rho, amp, center", [
+    (math.nan, 1.0, [0.0]), (math.inf, 1.0, [0.0]), (0.0, 1.0, [0.0]),
+    (-1.0, 1.0, [0.0]), (1.0, math.nan, [0.0]), (1.0, -math.inf, [0.0]),
+    (1.0, 1.0, [math.nan]), (1.0, 1.0, [0.0, math.inf]),
+])
+def test_bad_numbers_rejected(rho, amp, center):
+    with pytest.raises(InvalidArgument, match="finite"):
+        TestFunction("cosine_bump", rho, amp, center)
