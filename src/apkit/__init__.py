@@ -50,6 +50,7 @@ from .pseudometrics import (
 )
 from .autocorr import (
     AutocorrEstimate,
+    PairDifferences,
     WeightedAtomMeasure,
     autocorrelation_limit,
     bin_atoms,
@@ -116,7 +117,8 @@ __all__ = [
     "TestFunction",
     "PseudoMetricReport", "asymmetric_mismatch", "dbar", "dbar_c", "dbar_f",
     "dtilde", "mu_conv_f", "symmetric_mismatch",
-    "AutocorrEstimate", "WeightedAtomMeasure", "autocorrelation_limit",
+    "AutocorrEstimate", "PairDifferences", "WeightedAtomMeasure",
+    "autocorrelation_limit",
     "bin_atoms", "birkhoff_average_hf", "debias_ball_edge", "evaluate",
     "finite_autocorrelation", "hf_functional", "read_measure_csv",
     "write_measure_csv",

@@ -11,6 +11,7 @@ fraction for callers that want the edge-debiased estimate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,12 +37,23 @@ from .util import fmt_float, schedule, tail_converged
 
 
 def _group_by_cell(locations: np.ndarray, cell: float):
-    """Weighted grouping of rows by their floor-quantized cell."""
+    """Group label of each row by its floor-quantized cell, and the count.
+
+    Labels number the cells in code order: a cumulative sum of the bool
+    "new cell" flags over the sorted codes. The codes die here, before the
+    caller aggregates.
+    """
     codes = _cell_codes(locations, cell, "bin_tol")[0]
     order = np.argsort(codes, kind="stable")
     codes = codes[order]
-    starts = np.nonzero(np.concatenate([[True], codes[1:] != codes[:-1]]))[0]
-    return order, starts
+    new_cell = codes[1:] != codes[:-1]
+    del codes
+    gid = np.empty(len(order), dtype=np.int64)
+    sorted_gid = np.empty(len(order), dtype=np.int64)
+    sorted_gid[0] = 0
+    np.cumsum(new_cell, out=sorted_gid[1:])
+    gid[order] = sorted_gid
+    return gid, int(sorted_gid[-1]) + 1
 
 
 def _aggregate(locations, weights, group_ids, n_groups):
@@ -64,10 +76,8 @@ def bin_atoms(locations: np.ndarray, weights: np.ndarray, bin_tol: float):
     weights = np.asarray(weights, dtype=float)
     if len(locations) == 0:
         return locations, weights
-    order, starts = _group_by_cell(locations, bin_tol)
-    gid = np.empty(len(locations), dtype=np.int64)
-    gid[order] = np.searchsorted(starts, np.arange(len(locations)), side="right") - 1
-    locs, wts = _aggregate(locations, weights, gid, len(starts))
+    gid, n_groups = _group_by_cell(locations, bin_tol)
+    locs, wts = _aggregate(locations, weights, gid, n_groups)
     for _ in range(32):
         grid = GridIndex(locs, bin_tol)
         qi, pi = grid.pairs_within(locs, bin_tol * (1.0 - 1e-12))
@@ -107,9 +117,9 @@ class WeightedAtomMeasure:
         locations = np.asarray(locations, dtype=float).reshape(-1, dim)
         weights = np.asarray(weights, dtype=float).reshape(-1)
         if len(locations) != len(weights):
-            raise ValueError("locations and weights length mismatch")
+            raise InvalidArgument("locations and weights length mismatch")
         if not (bin_tol > 0):
-            raise ValueError("bin_tol must be positive")
+            raise InvalidArgument("bin_tol must be positive")
         order = np.lexsort(locations.T[::-1])
         self.dim = dim
         self.locations = locations[order]
@@ -120,13 +130,13 @@ class WeightedAtomMeasure:
                     and np.all(np.isfinite(self.locations))):
                 raise InvalidArgument("atom weights and locations must be finite")
             if np.any(self.weights <= 0):
-                raise ValueError("weights must be strictly positive")
+                raise InvalidArgument("weights must be strictly positive")
             if len(self.locations) > 1:
                 grid = GridIndex(self.locations, bin_tol)
                 qi, pi = grid.pairs_within(self.locations,
                                            bin_tol * (1.0 - 1e-9))
                 if np.any(qi != pi):
-                    raise ValueError("atoms closer than bin_tol")
+                    raise InvalidArgument("atoms closer than bin_tol")
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -168,7 +178,7 @@ class WeightedAtomMeasure:
     def coarsened(self, scale: float) -> "WeightedAtomMeasure":
         """Re-binned copy at a coarser resolution."""
         if scale < self.bin_tol:
-            raise ValueError("coarsening scale below current bin_tol")
+            raise InvalidArgument("coarsening scale below current bin_tol")
         locs, wts = bin_atoms(self.locations, self.weights, scale)
         return WeightedAtomMeasure(self.dim, locs, wts, scale, validate=False)
 
@@ -193,8 +203,61 @@ def evaluate(mu: WeightedAtomMeasure, f: TestFunction) -> float:
     return float(np.sum(mu.weights * f(mu.locations)))
 
 
+def _check_radius(S: PointSet, R: float) -> None:
+    if not (0 < R < math.inf):
+        raise InvalidArgument("R must be positive and finite")
+    if R > S.window_radius * (1.0 + 1e-9):
+        raise RadiusExceedsWindow(
+            f"R={R:g} exceeds window radius {S.window_radius:g}")
+
+
+class PairDifferences:
+    """The ordered pairs of S within the closed R-ball, enumerated once.
+
+    Holds the points P of S in the ball, the pairs (qi, pi) of P at distance
+    <= diff_cutoff, and their differences P[pi] - P[qi]. ``at(r)`` gives the
+    differences of the pairs within a radius r <= R.
+
+    Why ``at(r)`` equals a fresh enumeration at r, row for row and bit for
+    bit: grid cells are absolute floors of coordinates / cell, and the cell
+    size max(diff_cutoff, hardcore radius) does not depend on the radius.
+    GridIndex orders points by a stable sort on row-major cell codes, that
+    is lexicographically by cell and then by row; restricted to the points
+    of a smaller ball, that is the smaller ball's own order. pairs_within
+    walks the same cell offsets, query rows in order, each with its cell's
+    points in index order, and computes the same d2 from the same
+    coordinates. So the rows whose two ends both lie in the r-ball come out
+    in exactly the order, and with exactly the floats, of the enumeration
+    at r.
+    """
+
+    def __init__(self, S: PointSet, R: float, diff_cutoff: float):
+        _check_radius(S, R)
+        self.S = S
+        self.R = float(R)
+        self.diff_cutoff = float(diff_cutoff)
+        self.P = S.points[RegionSpec.ball(np.zeros(S.dim), R).contains(S.points)]
+        if len(self.P):
+            grid = GridIndex(self.P, max(diff_cutoff, S.hardcore_radius))
+            self.qi, self.pi = grid.pairs_within(self.P, diff_cutoff)
+        else:
+            self.qi = self.pi = np.empty(0, dtype=np.int64)
+        self.diffs = self.P[self.pi] - self.P[self.qi]
+
+    def at(self, r: float) -> np.ndarray:
+        """Differences of the pairs with both ends in the closed r-ball.
+
+        At r = R this is ``diffs`` itself, not a copy.
+        """
+        if r == self.R:
+            return self.diffs
+        inside = RegionSpec.ball(np.zeros(self.S.dim), r).contains(self.P)
+        return self.diffs[inside[self.qi] & inside[self.pi]]
+
+
 def finite_autocorrelation(S: PointSet, R: float, bin_tol: float | None = None,
-                           diff_cutoff: float | None = None
+                           diff_cutoff: float | None = None, *,
+                           pairs: PairDifferences | None = None
                            ) -> WeightedAtomMeasure:
     """Ordered pair-difference measure of S within the closed R-ball.
 
@@ -202,28 +265,36 @@ def finite_autocorrelation(S: PointSet, R: float, bin_tol: float | None = None,
     |y - x| <= diff_cutoff contributes weight 1/|B_R| at y - x. Self pairs
     give the atom at 0 weight card/|B_R|. With the default cutoff 2R the
     total mass is exactly card^2/|B_R|.
+
+    ``pairs`` lends the pairs of one enumeration at a radius >= R, built
+    for this very S and cutoff, so a radius schedule enumerates its pairs
+    once (``autocorrelation_limit``); the measure is bit-identical to the
+    one without it. A ``pairs`` built for another set, another cutoff or a
+    smaller radius raises InvalidArgument.
     """
-    if R <= 0:
-        raise ValueError("R must be positive")
-    if R > S.window_radius * (1.0 + 1e-9):
-        raise RadiusExceedsWindow(
-            f"R={R:g} exceeds window radius {S.window_radius:g}")
+    _check_radius(S, R)
     if bin_tol is None:
         bin_tol = S.hardcore_radius * 1e-3
     if diff_cutoff is None:
         diff_cutoff = 2.0 * R
-    vol = ball_volume(S.dim, R)
-    inside = RegionSpec.ball(np.zeros(S.dim), R).contains(S.points) if len(S) \
-        else np.zeros(0, dtype=bool)
-    P = S.points[inside]
-    if len(P) == 0:
+    if pairs is None:
+        pairs = PairDifferences(S, R, diff_cutoff)
+    elif pairs.S is not S:
+        raise InvalidArgument("pairs were enumerated for another point set")
+    elif pairs.diff_cutoff != diff_cutoff:
+        raise InvalidArgument(
+            f"pairs were enumerated at cutoff {pairs.diff_cutoff:g}, "
+            f"not {diff_cutoff:g}")
+    elif pairs.R < R:
+        raise InvalidArgument(
+            f"pairs were enumerated within radius {pairs.R:g} < R={R:g}")
+    diffs = pairs.at(R)
+    if len(diffs) == 0:
         return WeightedAtomMeasure(S.dim, np.empty((0, S.dim)), np.empty(0),
                                    bin_tol, validate=False)
-    grid = GridIndex(P, max(diff_cutoff, S.hardcore_radius))
-    qi, pi = grid.pairs_within(P, diff_cutoff)
-    diffs = P[pi] - P[qi]
     locs, wts = bin_atoms(diffs, np.ones(len(diffs)), bin_tol)
-    return WeightedAtomMeasure(S.dim, locs, wts / vol, bin_tol, validate=False)
+    return WeightedAtomMeasure(S.dim, locs, wts / ball_volume(S.dim, R),
+                               bin_tol, validate=False)
 
 
 def ball_overlap_fraction(dim: int, R: float, separations: np.ndarray) -> np.ndarray:
@@ -301,14 +372,17 @@ def autocorrelation_limit(S: PointSet, radii, bin_tol: float | None = None,
     schedule; the estimate is converged when every tracked weight series and
     the zero-atom series pass ``util.tail_converged`` at ``track_rtol``.
     A shared difference cutoff (default twice the smallest radius) keeps the
-    measures comparable across the schedule.
+    measures comparable across the schedule, and lets every radius take its
+    pairs from one enumeration at the largest radius (``PairDifferences``).
     """
     radii = schedule(radii)
     if radii.size < 2:
         raise InvalidArgument("need at least two radii to track convergence")
     if diff_cutoff is None:
         diff_cutoff = 2.0 * float(radii[0])
-    measures = [finite_autocorrelation(S, float(r), bin_tol, diff_cutoff)
+    pairs = PairDifferences(S, float(radii[-1]), diff_cutoff)
+    measures = [finite_autocorrelation(S, float(r), bin_tol, diff_cutoff,
+                                       pairs=pairs)
                 for r in radii]
     final = measures[-1]
     zero = np.zeros(S.dim)

@@ -238,22 +238,22 @@ def cmd_metric(args) -> int:
 def cmd_autocorr(args) -> int:
     cfg = _load_config(args.config, "autocorr")
     S = _read_points(args.file)
-    radii = cfg["radii"]
+    radii = schedule(cfg["radii"])
     if len(radii) == 1:
-        gamma = finite_autocorrelation(S, radii[0], cfg.get("bin_tol"),
+        gamma = finite_autocorrelation(S, float(radii[0]), cfg.get("bin_tol"),
                                        cfg.get("diff_cutoff"))
-        summary = {"command": "autocorr", "radii": radii,
-                   "converged": None}
+        converged = None
     else:
         est = autocorrelation_limit(S, radii, cfg.get("bin_tol"),
                                     cfg.get("diff_cutoff"),
                                     cfg.get("significance", 0.01),
                                     cfg.get("track_rtol", 0.05))
         gamma = est.measure
-        summary = {"command": "autocorr", "radii": radii,
-                   "converged": est.converged}
+        converged = est.converged
+    summary = {"command": "autocorr", "radii": [float(r) for r in radii],
+               "converged": converged}
     if cfg.get("debias"):
-        gamma = debias_ball_edge(gamma, float(max(radii)))
+        gamma = debias_ball_edge(gamma, float(radii[-1]))
     write_measure_csv(gamma, os.path.join(args.out, "autocorr.csv"))
     summary.update({
         "n_atoms": len(gamma),

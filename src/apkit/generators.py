@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .autocorr import finite_autocorrelation
+from .autocorr import PairDifferences, finite_autocorrelation
 from .diffraction import CriterionReport, _finish_report
 from .errors import (
     ConfigError,
@@ -37,28 +37,86 @@ SAMPLER_KINDS = ("randomized_model_set", "randomized_lattice", "matern_II",
 
 _ENUM_LIMIT = 300_000_000
 _BLOCK_ROWS = 2_000_000
+_LEAF_ROWS = 4_096
 
 
 # ---------------------------------------------------------------------------
 # Lattices
 
 
-def _box_blocks(lo: np.ndarray, hi: np.ndarray, what: str):
-    """The integer box lo..hi (inclusive) as row-major int64 row blocks.
+def _pruned_leaves(lo: np.ndarray, hi: np.ndarray, bounds):
+    """Sub-boxes of the integer box lo..hi that no bound proves empty.
 
-    Raises ConfigError, before allocating anything, when the box holds more
-    than _ENUM_LIMIT points. Each block holds about _BLOCK_ROWS rows.
+    A bound (M, c, r) says every wanted row x has |M x - c| <= r. The box
+    is split recursively along its longest axis. A sub-box with centre m and
+    half-widths h is dropped when |M m - c| > r + ||M| h|, because
+    |M (x - m)| <= ||M| h| for each of its rows x. Sub-boxes of at most
+    _LEAF_ROWS rows are kept whole, as int64 rows in row-major order.
     """
+    stack = [(lo, hi)]
+    while stack:
+        lo, hi = stack.pop()
+        m, h = (lo + hi) / 2.0, (hi - lo) / 2.0
+        if any(np.linalg.norm(M @ m - c) > r + np.linalg.norm(np.abs(M) @ h)
+               for M, c, r in bounds):
+            continue
+        size = hi - lo + 1
+        if np.prod(size) <= _LEAF_ROWS:
+            axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(lo, hi)]
+            yield np.stack(np.meshgrid(*axes, indexing="ij"),
+                           axis=-1).reshape(-1, len(axes))
+            continue
+        k = int(np.argmax(size))
+        mid = (lo[k] + hi[k]) // 2
+        left_hi, right_lo = hi.copy(), lo.copy()
+        left_hi[k], right_lo[k] = mid, mid + 1
+        stack += [(right_lo, hi), (lo, left_hi)]
+
+
+def _box_blocks(lo: np.ndarray, hi: np.ndarray, bounds, what: str):
+    """The rows of the integer box lo..hi (inclusive) that may pass bounds.
+
+    Raises ConfigError, before allocating anything, when the full box holds
+    more than _ENUM_LIMIT points. The rows of ``_pruned_leaves`` come
+    concatenated and cut into blocks of _BLOCK_ROWS rows, the last one
+    holding 2 to _BLOCK_ROWS + 1 rows: a one-row product takes numpy's
+    vector path, which rounds differently from the matrix path, and so
+    would products taken one small leaf at a time. Rows are not in
+    row-major order; callers hand their points to PointSet, which sorts.
+    """
+    lo = np.asarray(lo, dtype=np.int64)
+    hi = np.asarray(hi, dtype=np.int64)
     total = int(np.prod((hi - lo + 1).astype(object)))
     if total > _ENUM_LIMIT:
         raise ConfigError(f"{what} would scan {total} lattice points; "
                           "reduce the radius or the window")
-    axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(lo, hi)]
-    rest = int(np.prod([len(a) for a in axes[1:]]))
-    block = max(1, _BLOCK_ROWS // max(rest, 1))
-    return (np.stack(np.meshgrid(axes[0][s:s + block], *axes[1:],
-                                 indexing="ij"), axis=-1).reshape(-1, len(axes))
-            for s in range(0, len(axes[0]), block))
+    pending, n = [], 0
+    for leaf in _pruned_leaves(lo, hi, bounds):
+        pending.append(leaf)
+        n += len(leaf)
+        if n > _BLOCK_ROWS + 1:
+            rows = np.concatenate(pending)
+            cut = (n - 2) // _BLOCK_ROWS * _BLOCK_ROWS
+            yield from (rows[s:s + _BLOCK_ROWS]
+                        for s in range(0, cut, _BLOCK_ROWS))
+            pending, n = [rows[cut:]], n - cut
+    if n:
+        yield np.concatenate(pending)
+
+
+def _lattice_points(B: np.ndarray, radius: float) -> np.ndarray:
+    """The integer combinations x @ B of the basis rows in the closed ball."""
+    d = B.shape[1]
+    inv = np.linalg.inv(B)
+    bounds = np.ceil(radius * np.sqrt(np.sum(inv ** 2, axis=0)) + 1e-9)
+    # x @ B lies in the ball only if |B^T x| <= radius; the margin covers
+    # the keep test's relative 1e-12 and rounding
+    ball = (B.T, np.zeros(d), radius + 1e-9 * (1.0 + radius))
+    parts = [np.empty((0, d))]
+    for M in _box_blocks(-bounds, bounds, [ball], "lattice enumeration"):
+        pts = M.astype(float) @ B
+        parts.append(pts[np.sum(pts ** 2, axis=1) <= radius ** 2 * (1 + 1e-12)])
+    return np.concatenate(parts)
 
 
 def make_lattice(basis, window_radius: float) -> PointSet:
@@ -73,14 +131,7 @@ def make_lattice(basis, window_radius: float) -> PointSet:
     scale = float(np.max(np.abs(B)))
     if scale == 0 or abs(np.linalg.det(B)) < 1e-12 * scale ** d:
         raise SingularBasis("basis vectors are linearly dependent")
-    inv = np.linalg.inv(B)
-    bounds = np.ceil(window_radius * np.sqrt(np.sum(inv ** 2, axis=0)) + 1e-9)
-    parts = []
-    for M in _box_blocks(-bounds, bounds, "lattice enumeration"):
-        pts = M.astype(float) @ B
-        parts.append(
-            pts[np.sum(pts ** 2, axis=1) <= window_radius ** 2 * (1 + 1e-12)])
-    pts = np.concatenate(parts)
+    pts = _lattice_points(B, window_radius)
     # shortest nonzero lattice vector over a small combination box
     small = np.stack(np.meshgrid(*([np.arange(-4, 5)] * d), indexing="ij"),
                      axis=-1).reshape(-1, d)
@@ -276,32 +327,49 @@ def _graze_mask(window: RegionSpec, w: np.ndarray) -> np.ndarray:
 
 
 def _enumerate_strip(cfg: CutProjectConfig):
-    """Scan the integer box covering the strip; return (physical, grazes)."""
+    """The strip's physical points and its count of grazing translates.
+
+    Scans the integer box covering the strip segment, pruned by
+    ``_box_blocks`` to the rows whose internal coordinates may reach the
+    window and whose physical coordinates may reach rho_E (the output
+    radius plus the deformation bound). The margins of both bounds cover
+    the keep test's relative 1e-12, so no grazing translate is dropped.
+    Grazes are the translates exactly on the window boundary within rho_E:
+    the ones that can reach the output.
+    """
     amp = cfg.deformation.bound() if cfg.deformation else 0.0
     rho_E = cfg.output_radius + amp + 1e-9
     rho = math.sqrt(rho_E ** 2 + cfg.window.outer_radius() ** 2)
     lo = np.floor(-rho - cfg.torus_offset).astype(np.int64)
     hi = np.ceil(rho - cfg.torus_offset).astype(np.int64)
-    phys_parts = []
+    window = cfg.window
+    if window.kind == "ball":
+        c_W, r_W = window.center, window.radius
+    else:
+        c_W = (window.lo + window.hi) / 2.0
+        r_W = float(np.linalg.norm(window.hi - window.lo)) / 2.0
+    E, F, offset = cfg.E_basis, cfg.F_basis, cfg.torus_offset
+    margin = 1e-9 * (1.0 + rho)
+    bounds = [(F, c_W - F @ offset, r_W + margin),
+              (E, -(E @ offset), rho_E + margin)]
+    phys_parts = [np.empty((0, cfg.physical_dim))]
     grazes = 0
-    for mesh in _box_blocks(lo, hi, "strip enumeration"):
-        z = mesh + cfg.torus_offset
-        w = z @ cfg.F_basis.T
-        grazes += int(np.count_nonzero(_graze_mask(cfg.window, w)))
-        inside = cfg.window.contains(w)
+    for mesh in _box_blocks(lo, hi, bounds, "strip enumeration"):
+        z = mesh + offset
+        w = z @ F.T
+        on_edge = z[_graze_mask(window, w)]
+        grazes += int(np.count_nonzero(
+            np.sum((on_edge @ E.T) ** 2, axis=1) <= rho_E ** 2))
+        inside = window.contains(w)
         if not np.any(inside):
             continue
         z, w = z[inside], w[inside]
-        phys = z @ cfg.E_basis.T
+        phys = z @ E.T
         if cfg.deformation is not None:
             phys = phys + cfg.deformation(w)
         keep = np.sum(phys ** 2, axis=1) <= cfg.output_radius ** 2 * (1 + 1e-12)
         phys_parts.append(phys[keep])
-    if phys_parts:
-        points = np.concatenate(phys_parts)
-    else:
-        points = np.empty((0, cfg.physical_dim))
-    return points, grazes
+    return np.concatenate(phys_parts), grazes
 
 
 class WindowGraze(UserWarning):
@@ -319,10 +387,12 @@ class WindowGraze(UserWarning):
 def cut_and_project(cfg: CutProjectConfig) -> PointSet:
     """Project the strip's lattice points to physical space.
 
-    The full integer box covering the strip segment is scanned, so the
-    output is faithful in its window: enlarging output_radius never changes
-    the points inside the smaller radius. The hardcore radius is measured
-    from the output; exact collisions raise NotUniformlyDiscrete.
+    Every lattice translate of the integer box covering the strip segment
+    is decided; the scan skips only sub-boxes that provably miss the window
+    or the output ball (``_enumerate_strip``). So the output is faithful in
+    its window: enlarging output_radius never changes the points inside the
+    smaller radius. The hardcore radius is measured from the output; exact
+    collisions raise NotUniformlyDiscrete.
 
     The result is not validated again, because every check would pass by
     construction. r is sqrt(min d2) over all pairs, with d2 from
@@ -669,7 +739,8 @@ def verify_acpalm(p: ProcessSampler, A: RegionSpec, radii, n_seeds: int = 20,
     """Per-seed autocorrelation mass on A versus the Palm estimate.
 
     For each seed the pair-difference measure of the sample is evaluated on
-    A along the radius schedule; its final value is compared to the Palm
+    A along the radius schedule, every radius taking its pairs from one
+    enumeration at the largest; the final value is compared to the Palm
     intensity estimate. Returns a JSON-ready report with per-seed deviations.
     """
     radii = schedule(radii)
@@ -678,8 +749,10 @@ def verify_acpalm(p: ProcessSampler, A: RegionSpec, radii, n_seeds: int = 20,
 
     def one(i: int) -> list[float]:
         chi = sample(p, i)
-        return [finite_autocorrelation(chi, float(R), diff_cutoff=cutoff)
-                .mass_in_region(A) for R in radii]
+        pairs = PairDifferences(chi, float(radii[-1]), cutoff)
+        return [finite_autocorrelation(chi, float(R), diff_cutoff=cutoff,
+                                       pairs=pairs).mass_in_region(A)
+                for R in radii]
 
     series = [one(i) for i in range(n_seeds)]
     finals = np.array([s[-1] for s in series])

@@ -31,6 +31,48 @@ def brute_lattice_points(basis, window_radius: float) -> np.ndarray:
     return pts[np.sum(pts ** 2, axis=1) <= window_radius ** 2 * (1 + 1e-12)]
 
 
+def brute_strip_points(cfg):
+    """A cut-and-project config's physical points and grazes, one box scan.
+
+    Every integer row z of the box covering the strip is translated by the
+    torus offset; it is kept when its internal coordinates w = F z lie in the
+    window (closed ball, half-open box) and its deformed physical point lies
+    in the output ball (relative slack 1e-12). A graze is a row with w
+    exactly on the window boundary and |E z| <= output radius + deformation
+    bound + 1e-9. Returns (points, grazes), points in scan order.
+    """
+    E, F, W = cfg.E_basis, cfg.F_basis, cfg.window
+    amp = float(np.linalg.norm(cfg.deformation.amplitude)) \
+        if cfg.deformation is not None else 0.0
+    rho_E = cfg.output_radius + amp + 1e-9
+    if W.kind == "ball":
+        w_reach = float(np.linalg.norm(W.center)) + W.radius
+    else:
+        w_reach = float(np.linalg.norm(np.maximum(np.abs(W.lo), np.abs(W.hi))))
+    rho = math.sqrt(rho_E ** 2 + w_reach ** 2)
+    axes = [np.arange(math.floor(-rho - o), math.ceil(rho - o) + 1)
+            for o in cfg.torus_offset]
+    z = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, cfg.n)
+    z = z + cfg.torus_offset
+    w = z @ F.T
+    if W.kind == "ball":
+        d2 = np.sum((w - W.center) ** 2, axis=1)
+        inside, edge = d2 <= W.radius ** 2, d2 == W.radius ** 2
+    else:
+        inside = np.all((w >= W.lo) & (w < W.hi), axis=1)
+        edge = np.any((w == W.lo) | (w == W.hi), axis=1)
+    near = np.sum((z @ E.T) ** 2, axis=1) <= rho_E ** 2
+    grazes = int(np.count_nonzero(edge & near))
+    z, w = z[inside], w[inside]
+    phys = z @ E.T
+    if cfg.deformation is not None:
+        d = cfg.deformation
+        phys = phys + np.sin(2.0 * np.pi * (w @ d.frequency) + d.phase)[:, None] \
+            * d.amplitude[None, :]
+    keep = np.sum(phys ** 2, axis=1) <= cfg.output_radius ** 2 * (1 + 1e-12)
+    return phys[keep], grazes
+
+
 def brute_nn_d2(points, queries, r_max: float = math.inf,
                 exclude_self: bool = False) -> np.ndarray:
     """Least squared distance from each query to the points, by a full scan.

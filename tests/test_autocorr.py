@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import apkit as ak
 import oracles
+from apkit import autocorr
+from apkit.gridindex import GridIndex
 
 
 def z_lattice(window: float) -> ak.PointSet:
@@ -53,9 +56,21 @@ def test_bin_atoms_separation_and_mass(xs):
 
 
 def test_measure_validation_rejects_close_atoms():
-    with pytest.raises(ValueError):
+    with pytest.raises(ak.InvalidArgument, match="closer than bin_tol"):
         ak.WeightedAtomMeasure(1, np.array([[0.0], [1e-6]]),
                                np.array([1.0, 1.0]), 1e-3)
+
+
+@pytest.mark.parametrize("locs, wts, bin_tol, message", [
+    ([[0.0], [1.0]], [1.0], 0.1, "length mismatch"),
+    ([[0.0], [1.0]], [1.0, 1.0], 0.0, "bin_tol must be positive"),
+    ([[0.0], [1.0]], [1.0, 1.0], math.nan, "bin_tol must be positive"),
+    ([[0.0], [1.0]], [1.0, 0.0], 0.1, "strictly positive"),
+    ([[0.0], [1.0]], [1.0, -2.0], 0.1, "strictly positive"),
+])
+def test_measure_validation_errors_are_typed(locs, wts, bin_tol, message):
+    with pytest.raises(ak.InvalidArgument, match=message):
+        ak.WeightedAtomMeasure(1, np.array(locs), np.array(wts), bin_tol)
 
 
 @pytest.mark.parametrize("locs, wts", [
@@ -108,7 +123,7 @@ def test_coarsened_merges_and_keeps_mass():
     co = mu.coarsened(0.05)
     assert len(co) == 2
     assert co.total_mass() == pytest.approx(mu.total_mass())
-    with pytest.raises(ValueError):
+    with pytest.raises(ak.InvalidArgument, match="coarsening scale"):
         mu.coarsened(1e-4)
 
 
@@ -146,6 +161,13 @@ def test_autocorr_is_negation_symmetric():
     S = z_lattice(50.0)
     gamma = ak.finite_autocorrelation(S, 50.0)
     assert gamma.negation_symmetric()
+
+
+@pytest.mark.parametrize("R", [0.0, -1.0, math.nan, math.inf])
+def test_autocorr_radius_must_be_positive_and_finite(R):
+    with pytest.raises(ak.InvalidArgument,
+                       match="R must be positive and finite"):
+        ak.finite_autocorrelation(z_lattice(10.0), R)
 
 
 def test_autocorr_radius_beyond_window_rejected():
@@ -218,6 +240,98 @@ def test_limit_estimator_tracks_lattice_atoms():
     doc = est.to_json()
     assert set(doc) == {"radii", "mass_at_zero", "converged", "atoms",
                         "total_mass", "bin_tol"}
+
+
+def shifted_integers() -> ak.PointSet:
+    # the integers + 1/2: the 0.3-ball around the origin holds no point
+    return ak.PointSet((np.arange(-60, 60) + 0.5)[:, None], 60.0, 1.0)
+
+
+def octagonal_points() -> ak.PointSet:
+    s = 1.0 / math.sqrt(2.0)
+    E = [[s * math.cos(j * math.pi / 4) for j in range(4)],
+         [s * math.sin(j * math.pi / 4) for j in range(4)]]
+    F = [[s * math.cos(3 * j * math.pi / 4) for j in range(4)],
+         [s * math.sin(3 * j * math.pi / 4) for j in range(4)]]
+    cfg = ak.CutProjectConfig(
+        n=4, E_basis=E, F_basis=F, window=ak.RegionSpec.ball([0.0, 0.0], 0.6),
+        output_radius=12.0, torus_offset=np.random.default_rng(3).random(4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return ak.cut_and_project(cfg)
+
+
+def assert_same_measure(a: ak.WeightedAtomMeasure, b: ak.WeightedAtomMeasure):
+    assert a.bin_tol == b.bin_tol
+    assert a.locations.tobytes() == b.locations.tobytes()
+    assert a.weights.tobytes() == b.weights.tobytes()
+
+
+@pytest.mark.parametrize("make, radii", [
+    (shifted_integers, [0.3, 20.0, 35.0, 60.0]),
+    (octagonal_points, [0.2, 5.0, 9.0, 12.0]),
+])
+@pytest.mark.parametrize("cutoff", [None, 4.0])
+def test_limit_measures_equal_independent_calls(monkeypatch, make, radii,
+                                                cutoff):
+    S = make()
+    assert not np.any(S.norms() <= radii[0])
+    seen = []
+    original = autocorr.finite_autocorrelation
+
+    def recording(S, R, *args, **kwargs):
+        mu = original(S, R, *args, **kwargs)
+        seen.append((R, mu))
+        return mu
+
+    monkeypatch.setattr(autocorr, "finite_autocorrelation", recording)
+    est = ak.autocorrelation_limit(S, radii, diff_cutoff=cutoff)
+    assert [R for R, _ in seen] == radii
+    want_cutoff = 2.0 * radii[0] if cutoff is None else cutoff
+    zero = np.zeros(S.dim)
+    for (R, mu), mass0 in zip(seen, est.per_radius_mass_at_zero):
+        fresh = original(S, R, diff_cutoff=want_cutoff)
+        assert_same_measure(mu, fresh)
+        assert mass0 == fresh.mass_at(zero)
+    assert len(seen[0][1]) == 0
+    assert_same_measure(est.measure, seen[-1][1])
+
+
+def test_limit_enumerates_pairs_once(monkeypatch):
+    S = octagonal_points()
+    calls = []
+    original = GridIndex.pairs_within
+
+    def counting(self, queries, radius):
+        calls.append(radius)
+        return original(self, queries, radius)
+
+    monkeypatch.setattr(GridIndex, "pairs_within", counting)
+    ak.autocorrelation_limit(S, [6.0, 9.0, 12.0], diff_cutoff=3.5)
+    assert calls.count(3.5) == 1
+
+
+def test_pairs_for_a_single_radius_are_not_copied():
+    S = octagonal_points()
+    pairs = ak.PairDifferences(S, 12.0, 3.0)
+    assert pairs.at(12.0) is pairs.diffs
+    assert len(pairs.at(6.0)) < len(pairs.diffs)
+
+
+def test_pairs_mismatch_raises():
+    S = z_lattice(50.0)
+    pairs = ak.PairDifferences(S, 30.0, 5.0)
+    twin = ak.PointSet(S.points, S.window_radius, S.hardcore_radius)
+    with pytest.raises(ak.InvalidArgument, match="another point set"):
+        ak.finite_autocorrelation(twin, 20.0, diff_cutoff=5.0, pairs=pairs)
+    with pytest.raises(ak.InvalidArgument, match="cutoff"):
+        ak.finite_autocorrelation(S, 20.0, diff_cutoff=6.0, pairs=pairs)
+    with pytest.raises(ak.InvalidArgument, match="cutoff"):
+        ak.finite_autocorrelation(S, 20.0, pairs=pairs)
+    with pytest.raises(ak.InvalidArgument, match="radius"):
+        ak.finite_autocorrelation(S, 40.0, diff_cutoff=5.0, pairs=pairs)
+    mu = ak.finite_autocorrelation(S, 30.0, diff_cutoff=5.0, pairs=pairs)
+    assert_same_measure(mu, ak.finite_autocorrelation(S, 30.0, diff_cutoff=5.0))
 
 
 def test_limit_estimator_needs_two_radii():

@@ -300,6 +300,27 @@ def test_autocorr_schedule_with_debias(tmp_path, capsys):
         assert mu.mass_at([float(m)]) == pytest.approx(want, rel=1e-12)
 
 
+def test_autocorr_echoes_the_parsed_schedule(tmp_path, capsys):
+    a = write_set(tmp_path, ak.make_lattice([[1.0]], 40.0), "a.csv")
+    cfg = write_config(tmp_path, {"radii": [40, 20], "diff_cutoff": 5.0})
+    code, doc = run(capsys, "autocorr", a, "--config", cfg,
+                    "--out", str(tmp_path))
+    assert code == 0
+    assert doc["radii"] == [20.0, 40.0]
+    assert all(isinstance(r, float) for r in doc["radii"])
+
+
+@pytest.mark.parametrize("radius", [math.inf, math.nan])
+def test_autocorr_one_bad_radius_message(tmp_path, capsys, radius):
+    # the one-radius path parses its schedule like every other command
+    a = write_set(tmp_path, ak.make_lattice([[1.0]], 40.0), "a.csv")
+    code = main(["autocorr", a, "--config",
+                 write_config(tmp_path, {"radii": [radius]}),
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "radii must be positive and finite" in capsys.readouterr().err
+
+
 def test_autocorr_radius_beyond_window_exit_code(tmp_path, capsys):
     a = write_set(tmp_path, ak.make_lattice([[1.0]], 10.0), "a.csv")
     cfg = write_config(tmp_path, {"radii": [40.0]})
@@ -563,6 +584,8 @@ def test_non_finite_config_numbers_exit_code(tmp_path, capsys, command, doc):
         "shape": "triangle_bump", "support_radius": 0.1}}),
     ("metric", ["--which", "dbarc"], {"R": 5.0, "tol": 0.1, "quad_points": 8,
                                       "schedule_fractions": [math.nan]}),
+    ("autocorr", [], {"radii": [math.inf]}),
+    ("autocorr", [], {"radii": [math.nan]}),
 ])
 def test_non_finite_file_command_numbers_exit_code(tmp_path, capsys, command,
                                                    extra, doc):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -47,11 +48,14 @@ def test_lattice_rejects_singular_basis():
         ak.make_lattice([[1.0, 0.0]], 5.0)
 
 
-@pytest.mark.parametrize("basis, window", [
+LATTICE_CASES = [
     ([[1.3]], 40.0),
     ([[1.0, 0.2], [0.3, 0.9]], 12.0),
     ([[1.0, 0.1, 0.0], [0.0, 1.0, 0.2], [0.3, 0.0, 1.1]], 5.0),
-])
+]
+
+
+@pytest.mark.parametrize("basis, window", LATTICE_CASES)
 @pytest.mark.parametrize("block_rows", [7, 2_000_000])
 def test_make_lattice_blocks_equal_one_meshgrid(monkeypatch, basis, window,
                                                 block_rows):
@@ -60,6 +64,124 @@ def test_make_lattice_blocks_equal_one_meshgrid(monkeypatch, basis, window,
     want = ak.PointSet(oracles.brute_lattice_points(basis, window), window,
                        S.hardcore_radius, validate=False)
     assert S.points.tobytes() == want.points.tobytes()
+
+
+@pytest.mark.parametrize("basis, window", LATTICE_CASES)
+def test_make_lattice_one_row_leaves_equal_one_meshgrid(monkeypatch, basis,
+                                                        window):
+    # one-row leaves make the pruning bound exact at every row
+    monkeypatch.setattr(generators, "_LEAF_ROWS", 1)
+    S = ak.make_lattice(basis, window)
+    want = ak.PointSet(oracles.brute_lattice_points(basis, window), window,
+                       S.hardcore_radius, validate=False)
+    assert S.points.tobytes() == want.points.tobytes()
+
+
+@pytest.mark.parametrize("leaf_rows", [16, 4_096])
+@pytest.mark.parametrize("block_rows", [7, 2_000_000])
+def test_skewed_lattice_points_equal_one_meshgrid(monkeypatch, block_rows,
+                                                  leaf_rows):
+    # make_lattice itself refuses this basis (see
+    # test_make_lattice_still_rejects_a_hidden_short_vector), so the pruned
+    # enumeration behind it is compared directly; the full box holds
+    # 426,909 rows for 275 points, so most leaves are dropped
+    monkeypatch.setattr(generators, "_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(generators, "_LEAF_ROWS", leaf_rows)
+    got = ak.PointSet(generators._lattice_points(np.array(SKEWED_BASIS), 1.0),
+                      1.0, 0.01, validate=False)
+    want = ak.PointSet(oracles.brute_lattice_points(SKEWED_BASIS, 1.0), 1.0,
+                       0.01, validate=False)
+    assert len(want) == 275
+    assert got.points.tobytes() == want.points.tobytes()
+
+
+def test_box_blocks_never_yield_one_row(monkeypatch):
+    # a one-row product takes numpy's vector path and rounds differently
+    monkeypatch.setattr(generators, "_LEAF_ROWS", 5)
+    for block_rows, width in itertools.product(range(2, 12), range(2, 9)):
+        monkeypatch.setattr(generators, "_BLOCK_ROWS", block_rows)
+        lo, hi = np.array([0, 0]), np.array([width - 1, 4])
+        blocks = list(generators._box_blocks(lo, hi, [], "test box"))
+        assert [len(b) for b in blocks[:-1]] == \
+            [block_rows] * (len(blocks) - 1)
+        assert 2 <= len(blocks[-1]) <= block_rows + 1
+        rows = np.concatenate(blocks)
+        assert sorted(map(tuple, rows)) == [(i, j) for i in range(width)
+                                            for j in range(5)]
+
+
+def count_scanned_rows(monkeypatch) -> list:
+    """Patch the box scan to add the rows of every block it yields."""
+    scanned = [0]
+    box_blocks = generators._box_blocks
+
+    def counting(*args, **kwargs):
+        for block in box_blocks(*args, **kwargs):
+            scanned[0] += len(block)
+            yield block
+
+    monkeypatch.setattr(generators, "_box_blocks", counting)
+    return scanned
+
+
+def test_skewed_lattice_scan_is_pruned(monkeypatch):
+    scanned = count_scanned_rows(monkeypatch)
+    generators._lattice_points(np.array(SKEWED_BASIS), 1.0)
+    assert scanned[0] < 120_000
+
+
+def box_window_config(output_radius: float, offset) -> ak.CutProjectConfig:
+    # the octagonal strip through a square window of half-width 0.5
+    cfg = octagonal_config(output_radius, offset)
+    return dataclasses.replace(
+        cfg, window=ak.RegionSpec.box([-0.5, -0.5], [0.5, 0.5]))
+
+
+STRIP_CONFIGS = {
+    "fibonacci": lambda: ak.fibonacci_config(40.0),
+    "fibonacci_deformed": lambda: ak.fibonacci_config(
+        40.0, torus_offset=(0.3, 0.1),
+        deformation=ak.SinusoidalDeformation([0.15], [1.3], 0.4)),
+    "octagonal_ball": lambda: octagonal_config(
+        8.0, np.random.default_rng(7).random(4)),
+    "octagonal_box": lambda: box_window_config(
+        6.0, np.random.default_rng(8).random(4)),
+    "one_point": lambda: ak.fibonacci_config(0.3),
+    "no_point": lambda: ak.fibonacci_config(0.05, torus_offset=(0.5, 0.5)),
+}
+
+
+@pytest.mark.filterwarnings("ignore:no E-basis vector")
+@pytest.mark.parametrize("leaf_rows", [16, 4_096])
+@pytest.mark.parametrize("name", sorted(STRIP_CONFIGS))
+def test_pruned_strip_equals_one_box_scan(monkeypatch, name, leaf_rows):
+    monkeypatch.setattr(generators, "_LEAF_ROWS", leaf_rows)
+    cfg = STRIP_CONFIGS[name]()
+    got, grazes = generators._enumerate_strip(cfg)
+    want, want_grazes = oracles.brute_strip_points(cfg)
+    assert grazes == want_grazes
+    assert len(got) == len(want)
+    got = got[np.lexsort(got.T[::-1])]
+    want = want[np.lexsort(want.T[::-1])]
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name, points, grazes", [
+    ("fibonacci", 111, 2), ("one_point", 1, 0), ("no_point", 0, 0)])
+def test_strip_configs_reach_their_cases(name, points, grazes):
+    # the zero-offset strip grazes the window at z = (1, 0) and (0, 1),
+    # whose physical points lie outside the 0.3-ball
+    got, n_grazes = generators._enumerate_strip(STRIP_CONFIGS[name]())
+    assert (len(got), n_grazes) == (points, grazes)
+
+
+@pytest.mark.filterwarnings("ignore:no E-basis vector")
+def test_octagonal_strip_scan_is_pruned(monkeypatch):
+    # the benchmark's 8-fold set: the full box holds 61**4 = 13,845,841 rows
+    scanned = count_scanned_rows(monkeypatch)
+    S = ak.cut_and_project(octagonal_config(30.0, np.random.default_rng(0).random(4)))
+    assert len(S) == 3194
+    assert scanned[0] <= 1_500_000
 
 
 def test_make_lattice_refuses_a_box_over_the_limit(monkeypatch):
