@@ -250,7 +250,7 @@ def cmd_autocorr(args) -> int:
                                     cfg.get("track_rtol", 0.05))
         gamma = est.measure
         converged = est.converged
-    summary = {"command": "autocorr", "radii": [float(r) for r in radii],
+    summary = {"command": "autocorr", "radii": radii.tolist(),
                "converged": converged}
     if cfg.get("debias"):
         gamma = debias_ball_edge(gamma, float(radii[-1]))
