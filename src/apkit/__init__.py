@@ -21,6 +21,7 @@ from .errors import (
     SingularBasis,
     SupportTooLarge,
     TranslationExceedsWindow,
+    WindowError,
     WindowTooSmall,
 )
 from .pointset import (
@@ -109,7 +110,7 @@ __all__ = [
     "InvalidArgument", "NoAtomAtZero", "NotUniformlyDiscrete",
     "OutsideWindow", "PsiNotNormalized", "RadiusExceedsWindow",
     "RegionOutsideWindow", "SingularBasis", "SupportTooLarge",
-    "TranslationExceedsWindow", "WindowTooSmall",
+    "TranslationExceedsWindow", "WindowError", "WindowTooSmall",
     "DensityEstimate", "PointSet", "RegionSpec", "ball_volume",
     "count_in_region", "mean_nn_spacing", "metric_d", "read_pointset_csv",
     "relative_density_gap", "translate", "upper_density",

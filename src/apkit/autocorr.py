@@ -100,7 +100,7 @@ def bin_atoms(locations: np.ndarray, weights: np.ndarray, bin_tol: float):
         _, comp = np.unique(roots, return_inverse=True)
         locs, wts = _aggregate(locs, wts, comp, comp.max() + 1)
     else:
-        raise RuntimeError("atom binning did not reach a fixpoint")
+        raise InvalidArgument("atom binning did not reach a fixpoint")
     order = np.lexsort(locs.T[::-1])
     return locs[order], wts[order]
 
@@ -233,6 +233,8 @@ class PairDifferences:
 
     def __init__(self, S: PointSet, R: float, diff_cutoff: float):
         _check_radius(S, R)
+        if not (0 < diff_cutoff < math.inf):
+            raise InvalidArgument("diff_cutoff must be positive and finite")
         self.S = S
         self.R = float(R)
         self.diff_cutoff = float(diff_cutoff)
@@ -378,6 +380,9 @@ def autocorrelation_limit(S: PointSet, radii, bin_tol: float | None = None,
     radii = schedule(radii)
     if radii.size < 2:
         raise InvalidArgument("need at least two radii to track convergence")
+    if not (0 <= significance < math.inf and 0 < track_rtol < math.inf):
+        raise InvalidArgument(
+            "significance must be finite and >= 0, track_rtol positive and finite")
     if diff_cutoff is None:
         diff_cutoff = 2.0 * float(radii[0])
     pairs = PairDifferences(S, float(radii[-1]), diff_cutoff)

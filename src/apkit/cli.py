@@ -36,18 +36,7 @@ from .diffraction import (
     periodogram,
     write_periodogram_csv,
 )
-from .errors import (
-    ApkitError,
-    ConfigError,
-    DimensionMismatch,
-    NotUniformlyDiscrete,
-    OutsideWindow,
-    RadiusExceedsWindow,
-    RegionOutsideWindow,
-    SupportTooLarge,
-    TranslationExceedsWindow,
-    WindowTooSmall,
-)
+from .errors import ApkitError, ConfigError, InvalidArgument
 from .generators import (
     CutProjectConfig,
     ProcessSampler,
@@ -71,11 +60,6 @@ from .pseudometrics import dbar, dbar_c, dbar_f, dtilde
 from .testfunc import TestFunction
 from .util import schedule
 from .verify import run_checks
-
-_WINDOW_ERRORS = (DimensionMismatch, WindowTooSmall, RadiusExceedsWindow,
-                  RegionOutsideWindow, TranslationExceedsWindow,
-                  OutsideWindow, SupportTooLarge)
-
 
 def _jsonable(obj):
     """Recursively convert to plain JSON types; non-finite floats to None."""
@@ -126,8 +110,15 @@ def _read_points(path: str) -> PointSet:
         return read_pointset_csv(path)
     except OSError as exc:
         raise ConfigError(f"cannot read point set {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"bad point-set file {path}: {exc}") from exc
+
+
+def _given(doc: dict, *keys: str) -> dict:
+    """The keys that doc sets, as keyword arguments.
+
+    Every other parameter keeps the default of the library signature, so
+    the CLI restates none of them.
+    """
+    return {k: doc[k] for k in keys if doc.get(k) is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +127,8 @@ def _read_points(path: str) -> PointSet:
 
 def cmd_generate(args) -> int:
     cfg = _load_config(args.config, "generate")
-    preset = args.preset or cfg.get("preset")
-    radius = args.radius if args.radius is not None else cfg.get("radius")
+    cfg.update(_given(vars(args), "preset", "radius", "index"))
+    preset, radius = cfg.get("preset"), cfg.get("radius")
     sources = [preset is not None, "lattice" in cfg, "cut_project" in cfg,
                "sampler" in cfg]
     if sum(sources) != 1:
@@ -150,8 +141,7 @@ def cmd_generate(args) -> int:
             raise ConfigError("preset fibonacci needs --radius")
         from .generators import _deformation_from_json
         deform = _deformation_from_json(cfg.get("deformation"))
-        cp = fibonacci_config(radius, torus_offset=cfg.get("torus_offset",
-                                                           (0.0, 0.0)),
+        cp = fibonacci_config(radius, **_given(cfg, "torus_offset"),
                               deformation=deform)
         S = cut_and_project(cp)
         kind = "fibonacci"
@@ -174,8 +164,7 @@ def cmd_generate(args) -> int:
         if args.seed is not None:
             p = replace(p, seed=args.seed)
         seed_used = p.seed
-        S = sample(p, args.index if args.index is not None
-                   else cfg.get("index", 0))
+        S = sample(p, **_given(cfg, "index"))
         kind = p.kind
     write_pointset_csv(S, os.path.join(args.out, "points.csv"))
     meta = {
@@ -199,9 +188,6 @@ def cmd_metric(args) -> int:
     cfg = _load_config(args.config, "metric")
     S1 = _read_points(args.file1)
     S2 = _read_points(args.file2)
-    if S1.dim != S2.dim:
-        raise DimensionMismatch(
-            f"dimension mismatch: {S1.dim} vs {S2.dim}")
     which = args.which
 
     def need(key: str):
@@ -210,22 +196,21 @@ def cmd_metric(args) -> int:
         return cfg[key]
 
     if which == "d":
-        doc = {"which": "d", "value": metric_d(S1, S2, cfg.get("tol", 1e-3))}
+        doc = {"which": "d", "value": metric_d(S1, S2, **_given(cfg, "tol"))}
     elif which == "dbar":
-        value = dbar(S1, S2, need("radii"), cfg.get("tol"))
+        value = dbar(S1, S2, need("radii"), **_given(cfg, "tol"))
         doc = {"which": "dbar", "value": value,
                "radii": cfg["radii"]}
     elif which == "dbarc":
-        rep = dbar_c(S1, S2, need("R"), cfg.get("quad_points", 48),
-                     cfg.get("tol", 1e-2),
-                     tuple(cfg.get("schedule_fractions", (0.4, 0.6, 0.8, 1.0))))
+        rep = dbar_c(S1, S2, need("R"), **_given(
+            cfg, "quad_points", "tol", "schedule_fractions"))
         doc = {"which": "dbarc", **rep.to_json()}
     elif which == "dbarf":
         f = TestFunction.from_json(need("f"))
-        rep = dbar_f(S1, S2, f, need("radii"), cfg.get("quad_points", 2048))
+        rep = dbar_f(S1, S2, f, need("radii"), **_given(cfg, "quad_points"))
         doc = {"which": "dbarf", **rep.to_json()}
     else:
-        value = dtilde(S1, S2, need("radii"), cfg.get("match_tol", 1e-12))
+        value = dtilde(S1, S2, need("radii"), **_given(cfg, "match_tol"))
         doc = {"which": "dtilde", "value": value}
     _emit(doc, args.out, "metric.json")
     return 0
@@ -239,15 +224,13 @@ def cmd_autocorr(args) -> int:
     cfg = _load_config(args.config, "autocorr")
     S = _read_points(args.file)
     radii = schedule(cfg["radii"])
+    binning = _given(cfg, "bin_tol", "diff_cutoff")
     if len(radii) == 1:
-        gamma = finite_autocorrelation(S, float(radii[0]), cfg.get("bin_tol"),
-                                       cfg.get("diff_cutoff"))
+        gamma = finite_autocorrelation(S, float(radii[0]), **binning)
         converged = None
     else:
-        est = autocorrelation_limit(S, radii, cfg.get("bin_tol"),
-                                    cfg.get("diff_cutoff"),
-                                    cfg.get("significance", 0.01),
-                                    cfg.get("track_rtol", 0.05))
+        est = autocorrelation_limit(S, radii, **binning, **_given(
+            cfg, "significance", "track_rtol"))
         gamma = est.measure
         converged = est.converged
     summary = {"command": "autocorr", "radii": radii.tolist(),
@@ -275,16 +258,16 @@ def cmd_diffract(args) -> int:
     radii = schedule(cfg["radii"])
     R = float(radii[-1])
     grid = KGrid(cfg["k_lo"], cfg["k_hi"], cfg["k_step"])
-    pg = periodogram(S, R, grid, cfg.get("normalization", "per-volume"))
-    peaks = detect_bragg_peaks(S, radii, grid, cfg.get("threshold"),
-                               cfg.get("stability_bound", 0.2))
+    pg = periodogram(S, R, grid, **_given(cfg, "normalization"))
+    peaks = detect_bragg_peaks(S, radii, grid, **_given(
+        cfg, "threshold", "stability_bound"))
     peaks_doc = [p.to_json() for p in peaks]
     summary = {"command": "diffract", "R": R, "n_points": len(S),
                "n_peaks": len(peaks), "peaks": peaks_doc}
     crit = cfg.get("criteria")
     if crit is not None:
         est = autocorrelation_limit(
-            S, radii, crit.get("bin_tol"),
+            S, radii, **_given(crit, "bin_tol"),
             diff_cutoff=crit["search_radius"] + 1.0)
         est = replace(est, measure=debias_ball_edge(est.measure, R))
         gb = crit.get("gap_bound")
@@ -315,10 +298,12 @@ def cmd_appd(args) -> int:
     eps = cfg["eps"]
     radii = cfg["radii"]
     if "candidates" in cfg:
-        cand = np.asarray(cfg["candidates"], dtype=float)
+        cand = cfg["candidates"]
     else:
         pitch = cfg["pitch"] if "pitch" in cfg else mean_nn_spacing(S)
         span = cfg.get("span", cfg.get("search_radius", 10.0 * pitch))
+        if not (0 < pitch < math.inf and 0 < span < math.inf):
+            raise InvalidArgument("pitch and span must be positive and finite")
         axis = np.arange(-span, span + pitch / 2.0, pitch)
         if S.dim == 1:
             cand = axis.reshape(-1, 1)
@@ -330,7 +315,7 @@ def cmd_appd(args) -> int:
     if gb is None:
         gb = default_gap_bound(S, eps)
     rep = criterion_almost_periods(S, eps, cand, radii, gap_bound=gb,
-                                   search_radius=cfg.get("search_radius"))
+                                   **_given(cfg, "search_radius"))
     _emit({"command": "appd", **rep.to_json()}, args.out, "appd.json")
     return 0
 
@@ -347,12 +332,12 @@ def cmd_palm(args) -> int:
     A = RegionSpec.from_json(cfg["region"])
     if "acpalm" in cfg:
         ac = cfg["acpalm"]
-        rep = verify_acpalm(p, A, ac["radii"], ac.get("n_seeds", 20),
-                            ac.get("n_palm_samples", 200))
+        rep = verify_acpalm(p, A, ac["radii"], **_given(
+            ac, "n_seeds", "n_palm_samples"))
         doc = {"command": "palm", "mode": "acpalm", **rep}
     else:
         B = (RegionSpec.from_json(cfg["base"]) if "base" in cfg else None)
-        est = palm_intensity(p, A, B, cfg.get("n_samples", 200))
+        est = palm_intensity(p, A, B, **_given(cfg, "n_samples"))
         doc = {"command": "palm", "mode": "intensity", **est.to_json()}
     _emit(doc, args.out, "palm.json")
     return 0
@@ -364,9 +349,8 @@ def cmd_palm(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config, "verify")
-    summary = run_checks(seed=args.seed if args.seed is not None else 0,
-                         only=args.only,
-                         peak_threshold_scale=cfg.get("peak_threshold_scale"))
+    summary = run_checks(only=args.only, **_given(vars(args), "seed"),
+                         **_given(cfg, "peak_threshold_scale"))
     _emit(summary, args.out, "verify.json")
     return 0 if summary["all_passed"] else 1
 
@@ -433,18 +417,9 @@ def main(argv=None) -> int:
     try:
         os.makedirs(args.out, exist_ok=True)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NotUniformlyDiscrete as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except _WINDOW_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except ApkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -462,10 +462,17 @@ def criterion_almost_periods(S: PointSet, eps: float, t_candidates, radii, *,
     the mismatch set; its upper density along the schedule must not exceed
     eps. Candidates must leave room: |t| + eps + max(radii) <= window.
     """
-    cand = np.atleast_2d(np.asarray(t_candidates, dtype=float))
+    try:
+        cand = np.atleast_2d(np.asarray(t_candidates, dtype=float))
+    except ValueError:
+        raise InvalidArgument("candidates must share one length") from None
+    if not np.all(np.isfinite(cand)):
+        raise InvalidArgument("candidates must be finite")
     if cand.shape[1] != S.dim:
         raise DimensionMismatch("candidate dimension differs from the set")
     radii = schedule(radii)
+    if radii.size < 2:
+        raise InvalidArgument("need at least two radii to read the density tail")
     need = float(np.max(np.sqrt(np.sum(cand ** 2, axis=1)))) + eps + radii[-1]
     if need > S.window_radius * (1.0 + 1e-9):
         raise TranslationExceedsWindow(

@@ -718,6 +718,8 @@ def palm_intensity(p: ProcessSampler, A: RegionSpec,
             f"need window > diameter(A) + diameter(B) = {margin:g}, have "
             f"{p.window_radius:g}")
     volB = B.volume()
+    if not volB > 0:
+        raise InvalidArgument("base region B must have positive volume")
 
     def one(i: int) -> float:
         chi = sample(p, i)

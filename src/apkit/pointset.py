@@ -33,7 +33,13 @@ from .errors import (
     WindowTooSmall,
 )
 from .gridindex import GridIndex
-from .util import fmt_float, schedule, tail_converged, tail_max
+from .util import (
+    bisect_threshold,
+    fmt_float,
+    schedule,
+    tail_converged,
+    tail_max,
+)
 
 #: upper cap of the scale metric; reached when no covering scale certifies
 METRIC_CAP = 1.0 / math.sqrt(2.0)
@@ -44,9 +50,9 @@ _REL_SLACK = 1e-9   # relative slack for closed-boundary float comparisons
 def ball_volume(dim: int, radius: float) -> float:
     """Lebesgue volume of the closed Euclidean ball of the given radius."""
     if dim < 1:
-        raise ValueError("dim must be >= 1")
+        raise InvalidArgument("dim must be >= 1")
     if radius < 0:
-        raise ValueError("radius must be >= 0")
+        raise InvalidArgument("radius must be >= 0")
     return math.pi ** (dim / 2.0) * radius ** dim / math.gamma(dim / 2.0 + 1.0)
 
 
@@ -180,11 +186,11 @@ class PointSet:
         if points.size == 0:
             points = points.reshape(0, points.shape[1] if points.ndim == 2 else 1)
         if points.ndim != 2:
-            raise ValueError("points must be an (N, dim) array")
-        if not (hardcore_radius > 0.0):
-            raise ValueError("hardcore_radius must be positive")
-        if window_radius < 0.0:
-            raise ValueError("window_radius must be >= 0")
+            raise InvalidArgument("points must be an (N, dim) array")
+        if not (0.0 < hardcore_radius < math.inf):
+            raise InvalidArgument("hardcore_radius must be positive and finite")
+        if not (0.0 <= window_radius < math.inf):
+            raise InvalidArgument("window_radius must be finite and >= 0")
         order = np.lexsort(points.T[::-1])
         self.points = points[order]
         self.dim = points.shape[1]
@@ -388,18 +394,7 @@ def metric_d(S: PointSet, S2: PointSet, tol: float = 1e-3) -> float:
                 return False
         return True
 
-    if certified(tol):
-        return tol
-    if not certified(METRIC_CAP):
-        return METRIC_CAP
-    lo, hi = tol, METRIC_CAP
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if certified(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return bisect_threshold(certified, tol, METRIC_CAP, tol)
 
 
 def upper_density(S: PointSet, radii) -> DensityEstimate:
@@ -444,8 +439,8 @@ def relative_density_gap(candidates, search_radius: float,
     pts = np.atleast_2d(np.asarray(candidates, dtype=float))
     if pts.size == 0:
         raise EmptyCandidateSet("no candidates to measure")
-    if search_radius <= 0:
-        raise ValueError("search_radius must be positive")
+    if not (0 < search_radius < math.inf):
+        raise InvalidArgument("search_radius must be positive and finite")
     norms = np.sqrt(np.sum(pts ** 2, axis=1))
     if float(np.max(norms)) > search_radius * (1.0 + _REL_SLACK) + 1e-12:
         raise RegionOutsideWindow("candidates outside the probed ball")
@@ -495,11 +490,13 @@ def _read_csv(path: str, keys: tuple[str, ...], extra_cols: int = 0):
     Every file carries `# dim=`; each data row has dim + extra_cols fields.
     Returns the header dict and an (N, dim + extra_cols) float array.
     Raises InvalidArgument, naming the line, for a missing header, a
-    non-numeric field or a row of the wrong width.
+    non-numeric field (bytes that are not UTF-8 included) or a row of the
+    wrong width.
     """
     meta: dict[str, float] = {}
     rows: list[tuple[int, list[float]]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # undecodable bytes become U+FFFD, which no float parses
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -519,7 +516,8 @@ def _read_csv(path: str, keys: tuple[str, ...], extra_cols: int = 0):
         if key not in meta:
             raise InvalidArgument(f"missing '# {key}=' header")
     dim = meta["dim"]
-    if not (dim >= 1 and dim.is_integer()):
+    # numpy shapes are intp, so a larger dim cannot even shape zero rows
+    if not (1 <= dim <= np.iinfo(np.intp).max and dim.is_integer()):
         raise InvalidArgument(f"'# dim=' must be a positive integer, got {dim:g}")
     cols = int(dim) + extra_cols
     for lineno, row in rows:

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .pointset import PointSet, metric_d, translate, upper_density
 from .testfunc import TestFunction
-from .util import schedule, tail_converged, tail_max
+from .util import bisect_threshold, schedule, tail_converged, tail_max
 
 
 @dataclass
@@ -86,7 +86,8 @@ def symmetric_mismatch(S: PointSet, S2: PointSet, a: float) -> PointSet:
 def dbar(S: PointSet, S2: PointSet, radii, tol: float | None = None) -> float:
     """Smallest scale a (within tol) with mismatch density <= a, capped at r/2.
 
-    The membership predicate is monotone in a, so bisection on
+    r is the smaller of the two hardcore radii, as in ``dbar_f`` and
+    ``dtilde``; tol defaults to 1e-3 * r. The membership predicate is monotone in a, so bisection on
     [tol, r/2] locates the threshold; values at or below tol are reported
     as tol, and a predicate failing at the cap returns the cap.
 
@@ -95,9 +96,7 @@ def dbar(S: PointSet, S2: PointSet, radii, tol: float | None = None) -> float:
     mismatch set that ``symmetric_mismatch(S, S2, a)`` would build.
     """
     _check_pair(S, S2)
-    r = S.hardcore_radius
-    if abs(S2.hardcore_radius - r) > 1e-12 * max(1.0, r):
-        raise InvalidArgument("dbar needs a shared hardcore radius")
+    r = min(S.hardcore_radius, S2.hardcore_radius)
     if tol is None:
         tol = 1e-3 * r
     cap = r / 2.0
@@ -120,18 +119,7 @@ def dbar(S: PointSet, S2: PointSet, radii, tol: float | None = None) -> float:
         mism = PointSet(pts, w_eval, r, validate=False)
         return upper_density(mism, radii).value <= a
 
-    if ok(tol):
-        return tol
-    if not ok(cap):
-        return cap
-    lo, hi = tol, cap
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return bisect_threshold(ok, tol, cap, tol)
 
 
 def _midpoint_grid(R: float, dim: int, quad_points: int):

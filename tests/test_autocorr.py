@@ -340,6 +340,20 @@ def test_limit_estimator_needs_two_radii():
         ak.autocorrelation_limit(S, [50.0])
 
 
+@pytest.mark.parametrize("knob, value", [
+    ("diff_cutoff", math.inf), ("diff_cutoff", math.nan), ("diff_cutoff", 0.0),
+    ("significance", math.nan), ("significance", math.inf),
+    ("significance", -0.1), ("track_rtol", math.nan), ("track_rtol", 0.0),
+])
+def test_limit_estimator_rejects_bad_knobs(knob, value):
+    S = z_lattice(100.0)
+    with pytest.raises(ak.InvalidArgument, match=knob):
+        ak.autocorrelation_limit(S, [30.0, 50.0], **{knob: value})
+    if knob == "diff_cutoff":
+        with pytest.raises(ak.InvalidArgument, match=knob):
+            ak.finite_autocorrelation(S, 50.0, diff_cutoff=value)
+
+
 def test_limit_estimator_empty_set_raises():
     S = ak.PointSet(np.zeros((0, 1)), 100.0, 1.0)
     with pytest.raises(ak.NoAtomAtZero):

@@ -241,15 +241,17 @@ def test_metric_tol_out_of_range_exit_code(tmp_path, capsys, which, cfg):
 
 
 def test_metric_dbar_unshared_hardcore_exit_code(tmp_path, capsys):
-    a = write_set(tmp_path, ak.make_lattice([[1.0]], 40.0), "a.csv")
-    b = write_set(tmp_path, ak.PointSet(np.arange(-40.0, 41.0).reshape(-1, 1),
-                                        40.0, 0.5), "b.csv")
-    code = main(["metric", a, b, "--which", "dbar",
-                 "--config", write_config(tmp_path, {"radii": [10.0, 20.0]}),
-                 "--out", str(tmp_path)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err.startswith("error: dbar needs a shared hardcore")
+    # dbar runs at the smaller hardcore radius, as dbar_f and dtilde do
+    A = ak.make_lattice([[1.0]], 40.0)
+    B = ak.PointSet(np.arange(-40.0, 40.0).reshape(-1, 1) + 0.1, 40.0, 0.5)
+    a, b = write_set(tmp_path, A, "a.csv"), write_set(tmp_path, B, "b.csv")
+    code, doc = run(capsys, "metric", a, b, "--which", "dbar", "--config",
+                    write_config(tmp_path, {"radii": [10.0, 20.0]}),
+                    "--out", str(tmp_path))
+    assert code == 0
+    A_half = ak.PointSet(A.points, A.window_radius, 0.5)
+    assert doc["value"] == ak.dbar(A_half, B, [10.0, 20.0])
+    assert doc["value"] == pytest.approx(0.1, abs=1e-3)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])
@@ -462,6 +464,20 @@ def test_appd_explicit_candidates(tmp_path, capsys):
     assert doc["almost_period_set"] == [[1.0]]
 
 
+def test_appd_one_radius_exit_code(tmp_path, capsys):
+    # one radius has no density tail to read, as in detect_bragg_peaks
+    a = write_set(tmp_path, ak.make_lattice([[1.0]], 40.0), "a.csv")
+    cfg = write_config(tmp_path, {"eps": 0.1, "radii": [20.0],
+                                  "candidates": [[1.0]]})
+    out = tmp_path / "out"
+    code = main(["appd", a, "--config", cfg, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: need at least two radii")
+    assert os.listdir(out) == []
+
+
 def test_appd_one_point_exit_code(tmp_path, capsys):
     a = one_point_2d(tmp_path)
     cfg = write_config(tmp_path, {"eps": 0.1, "radii": [4.0, 6.0]})
@@ -566,31 +582,47 @@ def test_non_finite_config_numbers_exit_code(tmp_path, capsys, command, doc):
     assert "finite" in captured.err
 
 
-@pytest.mark.parametrize("command, extra, doc", [
-    ("metric", ["--which", "dtilde"], {"radii": [10.0, math.nan]}),
+# (command, extra argv, config, (r, window) header of a 3-point file or None
+# for the lattice file); ids keep the command-extraN-docN form
+NON_FINITE_FILE_CASES = [
+    ("metric", ["--which", "dtilde"], {"radii": [10.0, math.nan]}, None),
     ("diffract", [], {"radii": [10.0], "k_lo": [0.0], "k_hi": [1.0],
-                      "k_step": math.nan}),
+                      "k_step": math.nan}, None),
     ("diffract", [], {"radii": [10.0], "k_lo": [-math.inf], "k_hi": [1.0],
-                      "k_step": 0.1}),
+                      "k_step": 0.1}, None),
     ("metric", ["--which", "dbarf"], {"radii": [10.0, 20.0], "f": {
-        "shape": "triangle_bump", "support_radius": math.nan}}),
-    ("metric", ["--which", "dbarf"], {"radii": [10.0, 20.0], "f": {
-        "shape": "triangle_bump", "support_radius": 0.1,
-        "center": [math.nan]}}),
+        "shape": "triangle_bump", "support_radius": math.nan}}, None),
     ("metric", ["--which", "dbarf"], {"radii": [10.0, 20.0], "f": {
         "shape": "triangle_bump", "support_radius": 0.1,
-        "amplitude": math.nan}}),
+        "center": [math.nan]}}, None),
+    ("metric", ["--which", "dbarf"], {"radii": [10.0, 20.0], "f": {
+        "shape": "triangle_bump", "support_radius": 0.1,
+        "amplitude": math.nan}}, None),
     ("metric", ["--which", "dbarf"], {"radii": [math.nan], "f": {
-        "shape": "triangle_bump", "support_radius": 0.1}}),
+        "shape": "triangle_bump", "support_radius": 0.1}}, None),
     ("metric", ["--which", "dbarc"], {"R": 5.0, "tol": 0.1, "quad_points": 8,
-                                      "schedule_fractions": [math.nan]}),
-    ("autocorr", [], {"radii": [math.inf]}),
-    ("autocorr", [], {"radii": [math.nan]}),
-])
+                                      "schedule_fractions": [math.nan]}, None),
+    ("autocorr", [], {"radii": [math.inf]}, None),
+    ("autocorr", [], {"radii": [math.nan]}, None),
+    ("autocorr", [], {"radii": [1000.0]}, ("1", "inf")),
+    ("autocorr", [], {"radii": [2.0]}, ("1", "nan")),
+    ("autocorr", [], {"radii": [2.0]}, ("inf", "5")),
+]
+
+
+@pytest.mark.parametrize("command, extra, doc, header", NON_FINITE_FILE_CASES,
+                         ids=[f"{case[0]}-extra{i}-doc{i}" for i, case
+                              in enumerate(NON_FINITE_FILE_CASES)])
 def test_non_finite_file_command_numbers_exit_code(tmp_path, capsys, command,
-                                                   extra, doc):
-    # dtilde used to report {"value": null} with exit 0; diffract a traceback
-    a = write_set(tmp_path, ak.make_lattice([[1.0]], 40.0), "a.csv")
+                                                   extra, doc, header):
+    # dtilde used to report {"value": null} with exit 0; diffract a
+    # traceback; a window=inf or nan header exit 0, an r=inf one exit 1
+    if header is None:
+        a = write_set(tmp_path, ak.make_lattice([[1.0]], 40.0), "a.csv")
+    else:
+        a = str(tmp_path / "a.csv")
+        (tmp_path / "a.csv").write_text(
+            f"# dim=1\n# r={header[0]}\n# window={header[1]}\n0\n1\n2\n")
     files = [a, a] if command == "metric" else [a]
     code = main([command, *files, *extra, "--config",
                  write_config(tmp_path, doc), "--out", str(tmp_path)])
@@ -609,6 +641,44 @@ def test_point_csv_closer_than_its_r_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert captured.err.startswith("error: pairwise distance 0.3 below")
+
+
+def test_error_classes_carry_their_exit_codes():
+    window = [ak.DimensionMismatch, ak.WindowTooSmall, ak.RadiusExceedsWindow,
+              ak.RegionOutsideWindow, ak.TranslationExceedsWindow,
+              ak.OutsideWindow, ak.SupportTooLarge]
+    assert all(issubclass(cls, ak.WindowError) for cls in window)
+    assert all(cls.exit_code == 4 for cls in window)
+    assert ak.NotUniformlyDiscrete.exit_code == 3
+    for cls in (ak.ApkitError, ak.InvalidArgument, ak.ConfigError,
+                ak.EmptyCandidateSet, ak.PsiNotNormalized, ak.NoAtomAtZero,
+                ak.SingularBasis):
+        assert cls.exit_code == 2
+
+
+@pytest.mark.parametrize("text", [b"# dim=1\n# r=1\n# window=5\n\xff\n",
+                                  b"# dim=1e300\n# r=1\n# window=5\n"])
+def test_unreadable_point_file_exit_code(tmp_path, capsys, text):
+    a = tmp_path / "a.csv"
+    a.write_bytes(text)
+    code = main(["autocorr", str(a), "--config",
+                 write_config(tmp_path, {"radii": [2.0]}),
+                 "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("grid", [{"pitch": math.nan}, {"span": math.inf},
+                                  {"pitch": 1.0, "span": math.nan}])
+def test_appd_non_finite_grid_exit_code(tmp_path, capsys, grid):
+    a = write_set(tmp_path, ak.make_lattice([[1.0]], 40.0), "a.csv")
+    cfg = write_config(tmp_path, {"eps": 0.1, "radii": [10.0, 20.0], **grid})
+    code = main(["appd", a, "--config", cfg, "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: pitch and span must be positive")
 
 
 def test_threads_flag_is_rejected(tmp_path, capsys):

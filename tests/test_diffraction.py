@@ -439,6 +439,18 @@ def test_almost_periods_rejects_oversized_candidates():
                                     gap_bound=20.0)
 
 
+@pytest.mark.parametrize("cands, radii, match", [
+    ([[1.0]], [60.0], "two radii"),
+    ([[1.0], [1.0, 2.0]], [40.0, 60.0], "one length"),
+    ([[1.0], [math.nan]], [40.0, 60.0], "finite"),
+    ([[math.inf]], [40.0, 60.0], "finite"),
+])
+def test_almost_periods_rejects_bad_inputs(cands, radii, match):
+    S = z_lattice(131.0)
+    with pytest.raises(ak.InvalidArgument, match=match):
+        ak.criterion_almost_periods(S, 0.1, cands, radii, gap_bound=20.0)
+
+
 def test_bohr_profile_criterion_on_lattice():
     S = z_lattice(300.0)
     gamma = ak.finite_autocorrelation(S, 300.0, diff_cutoff=12.0)

@@ -695,6 +695,13 @@ def test_palm_intensity_base_region_free():
     assert abs(cube.value - ball.value) <= max(3.0 * sigma, 1e-12)
 
 
+def test_palm_intensity_rejects_a_null_base_region():
+    p = lattice_sampler(1)
+    with pytest.raises(ak.InvalidArgument, match="positive volume"):
+        ak.palm_intensity(p, ak.RegionSpec.ball([1.0], 0.25),
+                          B=ak.RegionSpec.ball([0.0], 0.0), n_samples=5)
+
+
 def test_palm_intensity_window_guard():
     p = lattice_sampler(1, window=1.2)
     with pytest.raises(ak.WindowTooSmall):

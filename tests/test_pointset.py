@@ -79,6 +79,26 @@ def test_empty_point_set_is_fine():
     assert len(S) == 0 and S.dim == 2
 
 
+@pytest.mark.parametrize("window, r, match", [
+    (math.inf, 1.0, "window_radius must be finite"),
+    (math.nan, 1.0, "window_radius must be finite"),
+    (-1.0, 1.0, "window_radius must be finite"),
+    (5.0, math.inf, "hardcore_radius must be positive and finite"),
+    (5.0, math.nan, "hardcore_radius must be positive and finite"),
+    (5.0, 0.0, "hardcore_radius must be positive and finite"),
+])
+def test_pointset_rejects_bad_radii(window, r, match):
+    with pytest.raises(ak.InvalidArgument, match=match):
+        ak.PointSet([[0.0], [1.0], [2.0]], window, r)
+
+
+def test_ball_volume_rejects_bad_arguments():
+    with pytest.raises(ak.InvalidArgument, match="dim"):
+        ak.ball_volume(0, 1.0)
+    with pytest.raises(ak.InvalidArgument, match="radius"):
+        ak.ball_volume(1, -1.0)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(-50, 50), min_size=2, max_size=30, unique=True))
 def test_count_in_region_matches_brute(ints):
@@ -414,6 +434,12 @@ def test_relative_density_gap_empty_raises():
         ak.relative_density_gap(np.zeros((0, 1)), 5.0)
 
 
+@pytest.mark.parametrize("search_radius", [0.0, -1.0, math.nan, math.inf])
+def test_relative_density_gap_rejects_bad_search_radius(search_radius):
+    with pytest.raises(ak.InvalidArgument, match="positive and finite"):
+        ak.relative_density_gap(np.zeros((1, 1)), search_radius)
+
+
 def test_relative_density_gap_2d_probe_grid():
     cand = np.array([[0.0, 0.0]])
     got = ak.relative_density_gap(cand, 4.0, probe_pitch=0.25)
@@ -441,6 +467,17 @@ def test_read_rejects_missing_headers(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("0.5\n1.5\n")
     with pytest.raises(ValueError):
+        ak.read_pointset_csv(str(path))
+
+
+def test_read_rejects_non_utf8_rows_and_unshapeable_dims(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"# dim=1\n# r=1\n# window=5\n\xff\n")
+    with pytest.raises(ak.InvalidArgument, match="line 4: non-numeric"):
+        ak.read_pointset_csv(str(path))
+    # no rows, so only the header bounds the dim numpy must shape
+    path.write_text("# dim=1e300\n# r=1\n# window=5\n")
+    with pytest.raises(ak.InvalidArgument, match="positive integer"):
         ak.read_pointset_csv(str(path))
 
 

@@ -123,11 +123,14 @@ def test_dbar_tol_out_of_range_is_invalid_argument():
             ak.dbar(Z, Z, RADII, tol)
 
 
-def test_dbar_requires_shared_hardcore():
+def test_dbar_unshared_hardcore_uses_the_smaller_radius():
     Z = z_lattice()
-    other = ak.PointSet(Z.points, Z.window_radius, 0.5, validate=False)
-    with pytest.raises(ValueError):
-        ak.dbar(Z, other, RADII)
+    half = ak.PointSet(Z.points, Z.window_radius, 0.5, validate=False)
+    Zs = shifted_lattice(0.1)
+    Zs_half = ak.PointSet(Zs.points, Zs.window_radius, 0.5, validate=False)
+    # identical points report the tol floor 1e-3 * min(r, r') on either side
+    assert ak.dbar(Z, half, RADII) == ak.dbar(half, Z, RADII) == 5e-4
+    assert ak.dbar(Zs, half, RADII) == ak.dbar(Zs_half, half, RADII)
 
 
 def test_dbar_dimension_mismatch():

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import apkit as ak
-from apkit.util import schedule, tail, tail_converged, tail_spread
+from apkit.util import (
+    bisect_threshold,
+    schedule,
+    tail,
+    tail_converged,
+    tail_spread,
+)
 
 
 # n, index where the tail of 1..n starts, its spread (over two values at least)
@@ -54,3 +60,23 @@ def test_schedule_sorts_to_floats():
     got = schedule([30, 10.0, 20])
     assert got.dtype == float
     assert got.tolist() == [10.0, 20.0, 30.0]
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.01, 0.3, 0.37, 0.5, 0.9])
+def test_bisect_threshold_brackets_the_threshold(threshold):
+    seen = []
+
+    def ok(a):
+        seen.append(a)
+        return a >= threshold
+
+    got = bisect_threshold(ok, 0.01, 0.5, 0.01)
+    assert seen[0] == 0.01
+    if threshold <= 0.01:
+        assert got == 0.01 and len(seen) == 1
+    elif threshold > 0.5:
+        assert got == 0.5 and len(seen) == 2
+    else:
+        # a scale where ok holds, within tol above the threshold
+        assert threshold <= got <= threshold + 0.01
+        assert got in seen
