@@ -58,28 +58,12 @@ from .pointset import (
 )
 from .pseudometrics import dbar, dbar_c, dbar_f, dtilde
 from .testfunc import TestFunction
-from .util import schedule
+from .util import jsonable, schedule
 from .verify import run_checks
-
-def _jsonable(obj):
-    """Recursively convert to plain JSON types; non-finite floats to None."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, np.generic):
-        obj = obj.item()
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _dump(doc: dict) -> str:
-    return json.dumps(_jsonable(doc), sort_keys=True, indent=2,
+    return json.dumps(jsonable(doc), sort_keys=True, indent=2,
                       allow_nan=False) + "\n"
 
 
@@ -103,6 +87,13 @@ def _load_config(path: str | None, command: str) -> dict:
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"config rejected: {exc.message}") from exc
     return cfg
+
+
+def _make_out_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
 
 
 def _read_points(path: str) -> PointSet:
@@ -415,7 +406,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        os.makedirs(args.out, exist_ok=True)
+        _make_out_dir(args.out)
         return args.func(args)
     except ApkitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,7 +37,7 @@ from .pointset import (
 )
 from .pseudometrics import asymmetric_mismatch
 from .testfunc import TestFunction
-from .util import fmt_float, schedule, tail_mean, tail_spread
+from .util import Record, fmt_float, schedule, tail_mean, tail_spread
 
 CRITERION_IDS = (
     "C3_gamma_concentration",
@@ -56,7 +56,7 @@ _EXP_BLOCK = 4_000_000
 
 
 @dataclass(frozen=True)
-class KGrid:
+class KGrid(Record):
     """Regular frequency grid: per-axis closed range with a common step."""
 
     lo: np.ndarray
@@ -66,6 +66,7 @@ class KGrid:
     def __post_init__(self):
         object.__setattr__(self, "lo", np.asarray(self.lo, dtype=float).reshape(-1))
         object.__setattr__(self, "hi", np.asarray(self.hi, dtype=float).reshape(-1))
+        object.__setattr__(self, "step", float(self.step))
         if len(self.lo) != len(self.hi):
             raise InvalidArgument("lo and hi lengths differ")
         if not (0 < self.step < math.inf
@@ -90,11 +91,6 @@ class KGrid:
         if self.dim == 1:
             return axes[0].reshape(-1, 1)
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
-
-    def to_json(self) -> dict:
-        return {"lo": [float(v) for v in self.lo],
-                "hi": [float(v) for v in self.hi],
-                "step": float(self.step)}
 
     @staticmethod
     def from_json(doc: dict) -> "KGrid":
@@ -162,7 +158,7 @@ def fourier_sum(S: PointSet, R: float, k) -> complex:
 
 
 @dataclass
-class Periodogram:
+class Periodogram(Record):
     """Squared-modulus Fourier sums on a frequency grid.
 
     normalization "per-volume" is |sum|^2 / |B_R| (diverges linearly in R at
@@ -175,12 +171,6 @@ class Periodogram:
     values: np.ndarray
     radius_used: float
     normalization: str = "per-volume"
-
-    def to_json(self) -> dict:
-        return {"dim": self.dim, "k_grid": self.k_grid.to_json(),
-                "radius_used": self.radius_used,
-                "normalization": self.normalization,
-                "values": [float(v) for v in self.values]}
 
 
 def periodogram(S: PointSet, R: float, k_grid: KGrid,
@@ -226,16 +216,12 @@ def atom_mass(S: PointSet, k, radii) -> tuple[float, float]:
 
 
 @dataclass
-class BraggPeak:
+class BraggPeak(Record):
     """A stable detected atom of the diffraction estimate."""
 
     location: np.ndarray
     mass: float
     stability: float
-
-    def to_json(self) -> dict:
-        return {"location": [float(v) for v in np.atleast_1d(self.location)],
-                "mass": self.mass, "stability": self.stability}
 
 
 def _golden_max(fun, lo: float, hi: float, tol: float) -> float:
@@ -344,7 +330,7 @@ def peak_span_gap(peaks: list[BraggPeak], search_radius: float) -> float:
 
 
 @dataclass
-class CriterionReport:
+class CriterionReport(Record):
     """Outcome of one executable almost-periodicity criterion.
 
     verdict "pass" means the accepted translation set has relative-density
@@ -361,36 +347,42 @@ class CriterionReport:
     search_radius: float
     details: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        pts = np.atleast_2d(self.almost_period_set) \
-            if np.size(self.almost_period_set) else np.empty((0, 1))
-        return {
-            "criterion_id": self.criterion_id,
-            "epsilon": self.epsilon,
-            "almost_period_set": [[float(v) for v in row] for row in pts],
-            "gap": self.gap if math.isfinite(self.gap) else None,
-            "verdict": self.verdict,
-            "gap_bound": self.gap_bound,
-            "search_radius": self.search_radius,
-            "details": self.details,
-        }
-
 
 def default_gap_bound(S: PointSet, eps: float) -> float:
     """Certification scale: 2 * (mean nearest-neighbor spacing) / eps."""
     return 2.0 * mean_nn_spacing(S) / eps
 
 
-def _finish_report(criterion_id: str, eps: float, accepted: np.ndarray,
-                   gap_bound: float, search_radius: float, converged: bool,
-                   details: dict) -> CriterionReport:
-    if len(accepted) == 0:
-        gap = math.inf
-    else:
-        try:
-            gap = relative_density_gap(accepted, search_radius)
-        except EmptyCandidateSet:
-            gap = math.inf
+def _candidates(t_candidates, dim: int, search_radius: float | None):
+    """Candidate translations as ``(cand, reach, search_radius)``.
+
+    cand holds finite (N, dim) rows, reach is the largest |t|, and the
+    searched radius defaults to reach.
+    """
+    try:
+        cand = np.atleast_2d(np.asarray(t_candidates, dtype=float))
+    except ValueError:
+        cand = None
+    if cand is None or cand.ndim != 2:
+        raise InvalidArgument("candidates must be rows of one length")
+    if not np.all(np.isfinite(cand)):
+        raise InvalidArgument("candidates must be finite")
+    if cand.size == 0:
+        raise EmptyCandidateSet("no candidate translations")
+    if cand.shape[1] != dim:
+        raise DimensionMismatch(
+            f"candidates have dimension {cand.shape[1]}, need {dim}")
+    reach = float(np.max(np.sqrt(np.sum(cand ** 2, axis=1))))
+    return cand, reach, reach if search_radius is None else search_radius
+
+
+def _finish_report(criterion_id: str, eps: float, cand: np.ndarray,
+                   accept: np.ndarray, gap_bound: float, search_radius: float,
+                   converged: bool, details: dict) -> CriterionReport:
+    """The report on the candidates that the boolean mask accept keeps."""
+    accepted = cand[accept]
+    gap = (relative_density_gap(accepted, search_radius) if len(accepted)
+           else math.inf)
     if not converged:
         verdict = "inconclusive"
     else:
@@ -426,9 +418,9 @@ def criterion_gamma_concentration(gamma, R: float, eps: float,
     qi, pi = grid.pairs_within(cand, R)
     mass = np.zeros(len(cand))
     np.add.at(mass, qi, mu.weights[pi])
-    accepted = cand[mass >= gamma0 - eps]
-    return _finish_report("C3_gamma_concentration", eps, accepted, gap_bound,
-                          search_radius, converged,
+    return _finish_report("C3_gamma_concentration", eps, cand,
+                          mass >= gamma0 - eps, gap_bound, search_radius,
+                          converged,
                           {"gamma_zero": gamma0, "ball_radius": float(R),
                            "candidates": int(len(cand))})
 
@@ -444,12 +436,10 @@ def criterion_atom_concentration(gamma, eps: float, search_radius: float, *,
     mu, converged = _unwrap_gamma(gamma)
     gamma0 = mu.mass_at_zero()
     norms = np.sqrt(np.sum(mu.locations ** 2, axis=1))
-    sel = (norms <= search_radius * (1.0 + 1e-9)) & \
-        (mu.weights >= gamma0 - eps)
-    accepted = mu.locations[sel]
-    return _finish_report("ATOM_concentration", eps, accepted, gap_bound,
-                          search_radius, converged,
-                          {"gamma_zero": gamma0})
+    sel = norms <= search_radius * (1.0 + 1e-9)
+    return _finish_report("ATOM_concentration", eps, mu.locations[sel],
+                          mu.weights[sel] >= gamma0 - eps, gap_bound,
+                          search_radius, converged, {"gamma_zero": gamma0})
 
 
 def criterion_almost_periods(S: PointSet, eps: float, t_candidates, radii, *,
@@ -462,36 +452,23 @@ def criterion_almost_periods(S: PointSet, eps: float, t_candidates, radii, *,
     the mismatch set; its upper density along the schedule must not exceed
     eps. Candidates must leave room: |t| + eps + max(radii) <= window.
     """
-    try:
-        cand = np.atleast_2d(np.asarray(t_candidates, dtype=float))
-    except ValueError:
-        raise InvalidArgument("candidates must share one length") from None
-    if not np.all(np.isfinite(cand)):
-        raise InvalidArgument("candidates must be finite")
-    if cand.shape[1] != S.dim:
-        raise DimensionMismatch("candidate dimension differs from the set")
+    cand, reach, search_radius = _candidates(t_candidates, S.dim,
+                                             search_radius)
     radii = schedule(radii)
     if radii.size < 2:
         raise InvalidArgument("need at least two radii to read the density tail")
-    need = float(np.max(np.sqrt(np.sum(cand ** 2, axis=1)))) + eps + radii[-1]
+    need = reach + eps + radii[-1]
     if need > S.window_radius * (1.0 + 1e-9):
         raise TranslationExceedsWindow(
             f"candidates need window {need:g}, have {S.window_radius:g}")
-    if search_radius is None:
-        search_radius = float(np.max(np.sqrt(np.sum(cand ** 2, axis=1))))
-    accepted_rows = []
-    densities = []
-    for t in cand:
-        mism = asymmetric_mismatch(S, translate(S, t), eps)
-        est = upper_density(mism, radii)
-        densities.append(est.value)
-        if est.value <= eps:
-            accepted_rows.append(t)
-    accepted = np.array(accepted_rows).reshape(-1, S.dim)
-    return _finish_report("C5_almost_periods", eps, accepted, gap_bound,
-                          search_radius, True,
+    densities = np.array([
+        upper_density(asymmetric_mismatch(S, translate(S, t), eps),
+                      radii).value
+        for t in cand])
+    return _finish_report("C5_almost_periods", eps, cand, densities <= eps,
+                          gap_bound, search_radius, True,
                           {"candidates": int(len(cand)),
-                           "densities": [float(v) for v in densities]})
+                           "densities": densities.tolist()})
 
 
 def _profile(mu: WeightedAtomMeasure, f: TestFunction, grid: GridIndex,
@@ -522,27 +499,18 @@ def bohr_test_mu_conv_f(gamma, f: TestFunction, eps: float, t_candidates,
     mu, converged = _unwrap_gamma(gamma)
     if f.dim != mu.dim:
         raise DimensionMismatch("test function dimension differs from measure")
-    cand = np.atleast_2d(np.asarray(t_candidates, dtype=float))
+    cand, _, search_radius = _candidates(t_candidates, mu.dim, search_radius)
     probes = np.atleast_2d(np.asarray(probe_grid, dtype=float))
-    if cand.shape[1] != mu.dim or probes.shape[1] != mu.dim:
-        raise DimensionMismatch("candidate or probe dimension differs")
-    if search_radius is None:
-        search_radius = float(np.max(np.sqrt(np.sum(cand ** 2, axis=1))))
+    if probes.shape[1] != mu.dim:
+        raise DimensionMismatch("probe dimension differs from the measure")
     grid = GridIndex(mu.locations, max(f.support_radius, mu.bin_tol))
     g0 = _profile(mu, f, grid, probes)
-    accepted_rows = []
-    sups = []
-    for t in cand:
-        gt = _profile(mu, f, grid, probes - t)
-        sup = float(np.max(np.abs(g0 - gt)))
-        sups.append(sup)
-        if sup < eps:
-            accepted_rows.append(t)
-    accepted = np.array(accepted_rows).reshape(-1, mu.dim)
-    return _finish_report("BOHR_mu_conv_f", eps, accepted, gap_bound,
+    sups = np.array([np.max(np.abs(g0 - _profile(mu, f, grid, probes - t)))
+                     for t in cand])
+    return _finish_report("BOHR_mu_conv_f", eps, cand, sups < eps, gap_bound,
                           search_radius, converged,
                           {"candidates": int(len(cand)),
-                           "sup_deviation": [float(v) for v in sups]})
+                           "sup_deviation": sups.tolist()})
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .autocorr import PairDifferences, finite_autocorrelation
-from .diffraction import CriterionReport, _finish_report
+from .diffraction import CriterionReport, _candidates, _finish_report
 from .errors import (
     ConfigError,
     InvalidArgument,
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .gridindex import GridIndex
 from .pointset import PointSet, RegionSpec, ball_volume
-from .util import schedule
+from .util import Record, schedule
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -575,8 +575,11 @@ def _uniform_in_ball(rng: np.random.Generator, n: int, dim: int,
     return dirs / norms[:, None] * radii[:, None]
 
 
-def _lattice_dim(p: ProcessSampler) -> int:
-    return p.basis.shape[1]
+def _process_dim(p: ProcessSampler) -> int:
+    """Point dimension: cut-and-project physical, else the basis's, else dim."""
+    if p.cut_project is not None:
+        return p.cut_project.physical_dim
+    return p.dim if p.basis is None else p.basis.shape[1]
 
 
 def sample(p: ProcessSampler, index: int = 0) -> PointSet:
@@ -584,7 +587,7 @@ def sample(p: ProcessSampler, index: int = 0) -> PointSet:
     rng = _rng(p, index)
     W = p.window_radius
     if p.kind == "randomized_lattice":
-        u = rng.random(_lattice_dim(p))
+        u = rng.random(_process_dim(p))
         offset = u @ p.basis
         diam = float(np.sum(np.sqrt(np.sum(p.basis ** 2, axis=1))))
         reach = W + diam + 1.0
@@ -598,7 +601,7 @@ def sample(p: ProcessSampler, index: int = 0) -> PointSet:
         # sqrt(dim) * u * (4*reach + 2*r). While sqrt(dim) * reach < 1e5 * r
         # that is below 5e-11 * r, a twentieth of the check's 1e-9 * r
         # slack; larger reaches validate.
-        trusted = math.sqrt(_lattice_dim(p)) * reach < 1e5 * r
+        trusted = math.sqrt(_process_dim(p)) * reach < 1e5 * r
         return PointSet(pts, W, r, validate=not trusted)
     if p.kind == "randomized_model_set":
         for _ in range(3):
@@ -613,9 +616,9 @@ def sample(p: ProcessSampler, index: int = 0) -> PointSet:
     if p.kind == "matern_II":
         r = p.hardcore
         buf = W + r
-        vol = ball_volume(_mat_dim(p), buf)
+        vol = ball_volume(_process_dim(p), buf)
         n = int(rng.poisson(p.intensity * vol))
-        props = _uniform_in_ball(rng, n, _mat_dim(p), buf)
+        props = _uniform_in_ball(rng, n, _process_dim(p), buf)
         marks = rng.random(n)
         if n:
             grid = GridIndex(props, r)
@@ -633,7 +636,7 @@ def sample(p: ProcessSampler, index: int = 0) -> PointSet:
         # above, and the proposals are finite draws in a finite ball.
         return PointSet(pts, W, r, validate=False)
     # perturbed_lattice
-    dim = _lattice_dim(p)
+    dim = _process_dim(p)
     base_r = _lattice_base(p.basis, 2.0)[1]
     if not (p.noise_bound < base_r / 2.0):
         raise ConfigError(
@@ -651,13 +654,9 @@ def sample(p: ProcessSampler, index: int = 0) -> PointSet:
     return PointSet(pts, W, base_r - 2.0 * p.noise_bound)
 
 
-def _mat_dim(p: ProcessSampler) -> int:
-    return p.dim if p.basis is None else p.basis.shape[1]
-
-
 def matern_effective_intensity(p: ProcessSampler) -> float:
     """Closed-form retained intensity of the dependent-thinning sampler."""
-    vr = ball_volume(_mat_dim(p), p.hardcore)
+    vr = ball_volume(_process_dim(p), p.hardcore)
     lam = p.intensity
     if lam == 0:
         return 0.0
@@ -669,7 +668,7 @@ def matern_effective_intensity(p: ProcessSampler) -> float:
 
 
 @dataclass
-class PalmIntensityEstimate:
+class PalmIntensityEstimate(Record):
     """Monte Carlo estimate of the typical-point intensity on a region."""
 
     region: RegionSpec
@@ -677,11 +676,6 @@ class PalmIntensityEstimate:
     stderr: float
     samples: int
     B_used: RegionSpec
-
-    def to_json(self) -> dict:
-        return {"region": self.region.to_json(), "value": self.value,
-                "stderr": self.stderr, "samples": self.samples,
-                "B_used": self.B_used.to_json()}
 
 
 def _count_diffs_in(chi: PointSet, anchors: np.ndarray, A: RegionSpec) -> int:
@@ -697,6 +691,12 @@ def _count_diffs_in(chi: PointSet, anchors: np.ndarray, A: RegionSpec) -> int:
     return int(np.count_nonzero(A.contains(chi.points[pi] - anchors[qi])))
 
 
+def _at_least_one(**counts: int) -> None:
+    for name, n in counts.items():
+        if not n >= 1:
+            raise InvalidArgument(f"{name} must be at least 1")
+
+
 def default_palm_base(dim: int) -> RegionSpec:
     return RegionSpec.box([-0.5] * dim, [0.5] * dim)
 
@@ -710,6 +710,7 @@ def palm_intensity(p: ProcessSampler, A: RegionSpec,
     across seeded samples. The base region B is arbitrary for a stationary
     process; the default is the unit cube at the origin.
     """
+    _at_least_one(n_samples=n_samples)
     if B is None:
         B = default_palm_base(A.dim)
     margin = A.diameter() + B.diameter()
@@ -745,6 +746,7 @@ def verify_acpalm(p: ProcessSampler, A: RegionSpec, radii, n_seeds: int = 20,
     enumeration at the largest; the final value is compared to the Palm
     intensity estimate. Returns a JSON-ready report with per-seed deviations.
     """
+    _at_least_one(n_seeds=n_seeds, n_palm_samples=n_palm_samples)
     radii = schedule(radii)
     palm = palm_intensity(p, A, n_samples=n_palm_samples)
     cutoff = A.outer_radius() + 1.0
@@ -766,14 +768,12 @@ def verify_acpalm(p: ProcessSampler, A: RegionSpec, radii, n_seeds: int = 20,
         "per_seed_mass": [[float(v) for v in s] for s in series],
         "per_seed_final": [float(v) for v in finals],
         "deviations": [float(v) for v in deviations],
-        "max_abs_deviation": float(np.max(np.abs(deviations))) if n_seeds else 0.0,
+        "max_abs_deviation": float(np.max(np.abs(deviations))),
         "n_seeds": int(n_seeds),
     }
 
 
 def _wilson_upper(successes: int, n: int, z: float = 1.959964) -> float:
-    if n == 0:
-        return 1.0
     phat = successes / n
     denom = 1.0 + z * z / n
     center = phat + z * z / (2 * n)
@@ -793,13 +793,12 @@ def event_almost_periods(p: ProcessSampler, R: float, eps: float,
     the estimate is at most eps. The one-sided 95% Wilson bound per
     candidate is recorded in the report details.
     """
-    cand = np.atleast_2d(np.asarray(t_candidates, dtype=float))
-    reach = float(np.max(np.sqrt(np.sum(cand ** 2, axis=1)))) + R
-    if reach > p.window_radius:
+    _at_least_one(n_samples=n_samples)
+    cand, reach, search_radius = _candidates(t_candidates, _process_dim(p),
+                                             search_radius)
+    if reach + R > p.window_radius:
         raise WindowTooSmall(
-            f"candidates need window > {reach:g}, have {p.window_radius:g}")
-    if search_radius is None:
-        search_radius = float(np.max(np.sqrt(np.sum(cand ** 2, axis=1))))
+            f"candidates need window > {reach + R:g}, have {p.window_radius:g}")
 
     def one(i: int) -> np.ndarray:
         chi = sample(p, i)
@@ -811,12 +810,10 @@ def event_almost_periods(p: ProcessSampler, R: float, eps: float,
         return (occt != occ0).astype(np.int64)
 
     counts = sum(one(i) for i in range(n_samples))
-    counts = np.asarray(counts)
     phat = counts / n_samples
     wilson = [_wilson_upper(int(c), n_samples) for c in counts]
-    accepted = cand[phat <= eps]
-    return _finish_report("EVENT_almost_periods", eps, accepted, gap_bound,
-                          search_radius, True,
+    return _finish_report("EVENT_almost_periods", eps, cand, phat <= eps,
+                          gap_bound, search_radius, True,
                           {"n_samples": int(n_samples),
-                           "event_rate": [float(v) for v in phat],
+                           "event_rate": phat.tolist(),
                            "wilson_upper95": [float(v) for v in wilson]})

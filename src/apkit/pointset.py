@@ -34,6 +34,7 @@ from .errors import (
 )
 from .gridindex import GridIndex
 from .util import (
+    Record,
     bisect_threshold,
     fmt_float,
     schedule,
@@ -45,6 +46,10 @@ from .util import (
 METRIC_CAP = 1.0 / math.sqrt(2.0)
 
 _REL_SLACK = 1e-9   # relative slack for closed-boundary float comparisons
+
+#: largest '# dim=' a CSV file may declare: a GridIndex query walks at
+#: least 3**dim cells, so higher dimensions cost minutes per query
+_MAX_CSV_DIM = 8
 
 
 def ball_volume(dim: int, radius: float) -> float:
@@ -134,7 +139,7 @@ class RegionSpec:
 
 
 @dataclass
-class DensityEstimate:
+class DensityEstimate(Record):
     """Counting-density estimate along a radius schedule.
 
     ``value`` is the max over the tail of ``tail_values`` (a limsup
@@ -146,14 +151,6 @@ class DensityEstimate:
     radii_used: np.ndarray
     tail_values: np.ndarray
     converged: bool
-
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "radii_used": [float(r) for r in self.radii_used],
-            "tail_values": [float(v) for v in self.tail_values],
-            "converged": self.converged,
-        }
 
 
 class PointSet:
@@ -425,14 +422,13 @@ def mean_nn_spacing(S: PointSet) -> float:
     return float(np.mean(np.sqrt(d2)))
 
 
-def relative_density_gap(candidates, search_radius: float,
-                         probe_pitch: float | None = None) -> float:
+def relative_density_gap(candidates, search_radius: float) -> float:
     """Largest distance from any center in B_search_radius to the candidate set.
 
     The smallest M such that every closed M-ball centered in the probed ball
     meets the candidates. Exact in 1D (sorted scan over gaps and edge
-    distances); in higher dimensions evaluated on a probe grid of the given
-    pitch (default search_radius/32), which makes the result a lower bound.
+    distances); in higher dimensions evaluated on a probe grid of pitch
+    search_radius/32, which makes the result a lower bound.
     A value near search_radius means the candidates carry no relative-density
     evidence at this scale.
     """
@@ -450,7 +446,7 @@ def relative_density_gap(candidates, search_radius: float,
         edge = max(xs[0] + w, w - xs[-1])
         interior = float(np.max(np.diff(xs)) / 2.0) if len(xs) > 1 else 0.0
         return max(edge, interior)
-    pitch = probe_pitch if probe_pitch is not None else w / 32.0
+    pitch = w / 32.0
     axes = [np.arange(-w, w + pitch / 2.0, pitch) for _ in range(pts.shape[1])]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, pts.shape[1])
     mesh = mesh[np.sum(mesh ** 2, axis=1) <= w * w]
@@ -516,9 +512,10 @@ def _read_csv(path: str, keys: tuple[str, ...], extra_cols: int = 0):
         if key not in meta:
             raise InvalidArgument(f"missing '# {key}=' header")
     dim = meta["dim"]
-    # numpy shapes are intp, so a larger dim cannot even shape zero rows
-    if not (1 <= dim <= np.iinfo(np.intp).max and dim.is_integer()):
-        raise InvalidArgument(f"'# dim=' must be a positive integer, got {dim:g}")
+    if not (1 <= dim <= _MAX_CSV_DIM and dim.is_integer()):
+        raise InvalidArgument(
+            f"'# dim=' must be a positive integer up to {_MAX_CSV_DIM}, "
+            f"got {dim:g}")
     cols = int(dim) + extra_cols
     for lineno, row in rows:
         if len(row) != cols:

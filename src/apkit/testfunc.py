@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgument
+from .util import Record
 
 SHAPES = ("triangle_bump", "cosine_bump")
 
@@ -22,7 +23,7 @@ def _simpson(fvals: np.ndarray, h: float) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class TestFunction:
+class TestFunction(Record):
     """Continuous radial bump: amplitude at the center, zero on the boundary.
 
     ``triangle_bump`` decays linearly in |x - center|/support_radius;
@@ -37,6 +38,8 @@ class TestFunction:
     def __post_init__(self):
         if self.shape not in SHAPES:
             raise InvalidArgument(f"shape must be one of {SHAPES}")
+        object.__setattr__(self, "support_radius", float(self.support_radius))
+        object.__setattr__(self, "amplitude", float(self.amplitude))
         if not (0 < self.support_radius < math.inf):
             raise InvalidArgument("support_radius must be positive and finite")
         center = np.asarray(self.center, dtype=float).reshape(-1)
@@ -83,11 +86,6 @@ class TestFunction:
     def support_bound(self) -> float:
         """sup |x| over the support ball."""
         return float(np.linalg.norm(self.center) + self.support_radius)
-
-    def to_json(self) -> dict:
-        return {"shape": self.shape, "support_radius": float(self.support_radius),
-                "amplitude": float(self.amplitude),
-                "center": [float(c) for c in self.center]}
 
     @staticmethod
     def from_json(doc: dict) -> "TestFunction":

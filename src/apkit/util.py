@@ -1,7 +1,9 @@
-"""Shared helpers: radius schedules, their tails, deterministic formatting."""
+"""Shared helpers: radius schedules, their tails, deterministic formatting
+and the JSON encoding of result records."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -74,3 +76,34 @@ def bisect_threshold(ok, lo: float, hi: float, tol: float) -> float:
 def fmt_float(x: float) -> str:
     """17 significant digits: enough to round-trip a double exactly."""
     return format(float(x), ".17g")
+
+
+def jsonable(obj):
+    """Plain JSON types, recursively.
+
+    Arrays become lists and numpy scalars Python values; non-finite floats
+    become None; any other object is encoded through its ``to_json()``.
+    """
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return jsonable(obj.tolist())
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if hasattr(obj, "to_json"):
+        return jsonable(obj.to_json())
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+class Record:
+    """Base of result dataclasses whose JSON form is their fields by name."""
+
+    def to_json(self) -> dict:
+        return {f.name: jsonable(getattr(self, f.name))
+                for f in dataclasses.fields(self)}

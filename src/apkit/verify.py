@@ -53,18 +53,14 @@ from .pointset import (
 )
 from .pseudometrics import dbar, dbar_c, dbar_f
 from .testfunc import TestFunction
-from .util import relative_spread
+from .util import Record, relative_spread
 
 
 @dataclass
-class CheckResult:
+class CheckResult(Record):
     tag: str
     passed: bool
     details: dict
-
-    def to_json(self) -> dict:
-        return {"tag": self.tag, "passed": self.passed,
-                "details": self.details}
 
 
 # ---------------------------------------------------------------------------

@@ -656,8 +656,14 @@ def test_error_classes_carry_their_exit_codes():
         assert cls.exit_code == 2
 
 
-@pytest.mark.parametrize("text", [b"# dim=1\n# r=1\n# window=5\n\xff\n",
-                                  b"# dim=1e300\n# r=1\n# window=5\n"])
+@pytest.mark.parametrize("text", [
+    b"# dim=1\n# r=1\n# window=5\n\xff\n",
+    b"# dim=1e300\n# r=1\n# window=5\n",
+    # zero rows: numpy could shape this dim, the grid walk could not
+    b"# dim=1e12\n# r=1\n# window=5\n",
+    # two points: 3**9 cells per grid query
+    b"# dim=9\n# r=1\n# window=5\n" + b"0,0,0,0,0,0,0,0,0\n1,0,0,0,0,0,0,0,0\n",
+])
 def test_unreadable_point_file_exit_code(tmp_path, capsys, text):
     a = tmp_path / "a.csv"
     a.write_bytes(text)
@@ -679,6 +685,20 @@ def test_appd_non_finite_grid_exit_code(tmp_path, capsys, grid):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: pitch and span must be positive")
+
+
+def test_appd_empty_2d_grid_exit_code(tmp_path, capsys):
+    # on Z^2 the pitch-5 grid within span 1 is the one corner (-1, -1),
+    # which lies outside the span ball: no candidates remain
+    a = write_set(tmp_path, ak.make_lattice([[1.0, 0.0], [0.0, 1.0]], 30.0),
+                  "a.csv")
+    cfg = write_config(tmp_path, {"eps": 0.1, "radii": [10.0, 20.0],
+                                  "pitch": 5.0, "span": 1.0})
+    code = main(["appd", a, "--config", cfg, "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: no candidate translations")
 
 
 def test_threads_flag_is_rejected(tmp_path, capsys):
@@ -753,3 +773,14 @@ def test_out_directory_is_created(tmp_path, capsys):
                   "5", "--out", str(nested))
     assert code == 0
     assert (nested / "points.csv").exists()
+
+
+def test_unwritable_out_exit_code(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    code = main(["generate", "--preset", "lattice-z", "--radius", "5",
+                 "--out", str(afile / "sub")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot create output directory")

@@ -451,6 +451,36 @@ def test_almost_periods_rejects_bad_inputs(cands, radii, match):
         ak.criterion_almost_periods(S, 0.1, cands, radii, gap_bound=20.0)
 
 
+def almost_period_criteria():
+    """C5, BOHR and EVENT on 1-D inputs, each as a function of candidates."""
+    S = z_lattice(131.0)
+    mu = make_measure([0.0], [1.0])
+    f = ak.TestFunction("triangle_bump", 0.2, 1.0, [0.0])
+    probes = np.linspace(-2.0, 2.0, 801).reshape(-1, 1)
+    p = ak.ProcessSampler("randomized_lattice", 1, 30.0, basis=[[1.0]])
+    return {
+        "C5": lambda c: ak.criterion_almost_periods(
+            S, 0.1, c, [40.0, 60.0, 80.0], gap_bound=20.0),
+        "BOHR": lambda c: ak.bohr_test_mu_conv_f(
+            mu, f, 0.05, c, probes, gap_bound=0.5),
+        "EVENT": lambda c: ak.event_almost_periods(
+            p, 0.1, 0.1, c, 5, gap_bound=2.0),
+    }
+
+
+@pytest.mark.parametrize("cands, error, match", [
+    ([[1.0], [1.0, 2.0]], ak.InvalidArgument, "one length"),
+    ([[1.0], [math.nan]], ak.InvalidArgument, "finite"),
+    ([], ak.EmptyCandidateSet, "no candidate"),
+    (np.empty((0, 1)), ak.EmptyCandidateSet, "no candidate"),
+    ([[1.0, 0.0]], ak.DimensionMismatch, "dimension"),
+], ids=["ragged", "nan", "no_rows", "no_rows_2d", "two_dims"])
+@pytest.mark.parametrize("criterion", ["C5", "BOHR", "EVENT"])
+def test_criteria_share_the_candidate_contract(criterion, cands, error, match):
+    with pytest.raises(error, match=match):
+        almost_period_criteria()[criterion](cands)
+
+
 def test_bohr_profile_criterion_on_lattice():
     S = z_lattice(300.0)
     gamma = ak.finite_autocorrelation(S, 300.0, diff_cutoff=12.0)

@@ -716,6 +716,19 @@ def test_palm_estimate_json_fields():
     assert doc["samples"] == 10
 
 
+@pytest.mark.parametrize("call", [
+    lambda p, A: ak.palm_intensity(p, A, n_samples=0),
+    lambda p, A: ak.verify_acpalm(p, A, [10.0, 20.0], n_seeds=0),
+    lambda p, A: ak.verify_acpalm(p, A, [10.0, 20.0], n_palm_samples=0),
+    lambda p, A: ak.event_almost_periods(p, 0.1, 0.1, [[1.0]], 0,
+                                         gap_bound=2.0),
+], ids=["palm_n_samples", "acpalm_n_seeds", "acpalm_n_palm_samples",
+        "event_n_samples"])
+def test_sample_counts_must_be_at_least_one(call):
+    with pytest.raises(ak.InvalidArgument, match="at least 1"):
+        call(lattice_sampler(1), ak.RegionSpec.ball([1.0], 0.25))
+
+
 def test_acpalm_lattice_mass_matches_palm():
     p = lattice_sampler(21, window=110.0)
     rep = ak.verify_acpalm(p, ak.RegionSpec.ball([1.0], 0.25),

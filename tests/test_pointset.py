@@ -442,7 +442,7 @@ def test_relative_density_gap_rejects_bad_search_radius(search_radius):
 
 def test_relative_density_gap_2d_probe_grid():
     cand = np.array([[0.0, 0.0]])
-    got = ak.relative_density_gap(cand, 4.0, probe_pitch=0.25)
+    got = ak.relative_density_gap(cand, 4.0)
     # farthest probe from the origin sits near the rim
     assert 3.5 <= got <= 4.0
 
