@@ -28,6 +28,8 @@ from .gridindex import GridIndex, _cell_codes
 from .pointset import (
     PointSet,
     RegionSpec,
+    _check_reach,
+    _in_ball,
     _read_csv,
     atomic_write_text,
     ball_volume,
@@ -203,24 +205,18 @@ def evaluate(mu: WeightedAtomMeasure, f: TestFunction) -> float:
     return float(np.sum(mu.weights * f(mu.locations)))
 
 
-def _check_radius(S: PointSet, R: float) -> None:
-    if not (0 < R < math.inf):
-        raise InvalidArgument("R must be positive and finite")
-    if R > S.window_radius * (1.0 + 1e-9):
-        raise RadiusExceedsWindow(
-            f"R={R:g} exceeds window radius {S.window_radius:g}")
-
-
 class PairDifferences:
     """The ordered pairs of S within the closed R-ball, enumerated once.
 
-    Holds the points P of S in the ball, the pairs (qi, pi) of P at distance
+    Holds the points P = ``S.ball(R)``, the pairs (qi, pi) of P at distance
     <= diff_cutoff, and their differences P[pi] - P[qi]. ``at(r)`` gives the
     differences of the pairs within a radius r <= R.
 
     Why ``at(r)`` equals a fresh enumeration at r, row for row and bit for
-    bit: grid cells are absolute floors of coordinates / cell, and the cell
-    size max(diff_cutoff, hardcore radius) does not depend on the radius.
+    bit: it keeps the points of P by S's cached norms and the ball rule, so
+    they are exactly ``S.ball(r)``. Grid cells are absolute floors of
+    coordinates / cell, and the cell size max(diff_cutoff, hardcore radius)
+    does not depend on the radius.
     GridIndex orders points by a stable sort on row-major cell codes, that
     is lexicographically by cell and then by row; restricted to the points
     of a smaller ball, that is the smaller ball's own order. pairs_within
@@ -232,13 +228,16 @@ class PairDifferences:
     """
 
     def __init__(self, S: PointSet, R: float, diff_cutoff: float):
-        _check_radius(S, R)
+        if not (0 < R < math.inf):
+            raise InvalidArgument("R must be positive and finite")
         if not (0 < diff_cutoff < math.inf):
             raise InvalidArgument("diff_cutoff must be positive and finite")
         self.S = S
         self.R = float(R)
         self.diff_cutoff = float(diff_cutoff)
-        self.P = S.points[RegionSpec.ball(np.zeros(S.dim), R).contains(S.points)]
+        self.P = S.ball(R)
+        # the cached norms that chose P, so at(r) applies S.ball's own rule
+        self._norms = S.norms()[_in_ball(S.norms(), R)]
         if len(self.P):
             grid = GridIndex(self.P, max(diff_cutoff, S.hardcore_radius))
             self.qi, self.pi = grid.pairs_within(self.P, diff_cutoff)
@@ -253,7 +252,7 @@ class PairDifferences:
         """
         if r == self.R:
             return self.diffs
-        inside = RegionSpec.ball(np.zeros(self.S.dim), r).contains(self.P)
+        inside = _in_ball(self._norms, r)
         return self.diffs[inside[self.qi] & inside[self.pi]]
 
 
@@ -274,7 +273,9 @@ def finite_autocorrelation(S: PointSet, R: float, bin_tol: float | None = None,
     one without it. A ``pairs`` built for another set, another cutoff or a
     smaller radius raises InvalidArgument.
     """
-    _check_radius(S, R)
+    if not (0 < R < math.inf):
+        raise InvalidArgument("R must be positive and finite")
+    _check_reach(R, S.window_radius, RadiusExceedsWindow, "radius")
     if bin_tol is None:
         bin_tol = S.hardcore_radius * 1e-3
     if diff_cutoff is None:
@@ -432,10 +433,8 @@ def hf_functional(S: PointSet, psi: TestFunction, f: TestFunction) -> float:
     if psi.dim != S.dim or f.dim != S.dim:
         raise DimensionMismatch("test function dimension differs from the set")
     _check_psi(psi)
-    reach = psi.support_bound() + f.support_bound()
-    if reach > S.window_radius * (1.0 + 1e-9):
-        raise WindowTooSmall(
-            f"pair reach {reach:g} exceeds window {S.window_radius:g}")
+    _check_reach(psi.support_bound() + f.support_bound(), S.window_radius,
+                 WindowTooSmall, "pair reach")
     if len(S) == 0:
         return 0.0
     sel = psi(S.points) > 0.0
@@ -463,18 +462,13 @@ def birkhoff_average_hf(S: PointSet, psi: TestFunction, f: TestFunction,
     if psi.dim != S.dim or f.dim != S.dim:
         raise DimensionMismatch("test function dimension differs from the set")
     _check_psi(psi)
-    margin = psi.support_bound() + f.support_bound()
-    if R + margin > S.window_radius * (1.0 + 1e-9):
-        raise WindowTooSmall(
-            f"need window >= R + supports = {R + margin:g}, have "
-            f"{S.window_radius:g}")
+    _check_reach(R + psi.support_bound() + f.support_bound(), S.window_radius,
+                 WindowTooSmall, "R plus both supports")
     nodes, _ = _midpoint_grid(R, S.dim, quad_points)
     if len(S) == 0:
         return 0.0
     # inner sums F(x) = sum_y f(y - x) for every x that psi can reach
-    reach = R + psi.support_bound()
-    cand = S.norms() <= reach + 1e-9
-    X = S.points[cand]
+    X = S.ball(R + psi.support_bound())
     grid_all = S.grid(max(f.support_radius, S.hardcore_radius))
     qi, pi = grid_all.pairs_within(X + f.center, f.support_radius)
     F = np.zeros(len(X))

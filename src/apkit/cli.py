@@ -28,6 +28,7 @@ from .autocorr import (
 )
 from .diffraction import (
     KGrid,
+    _MAX_GRID_NODES,
     criterion_almost_periods,
     criterion_atom_concentration,
     criterion_gamma_concentration,
@@ -295,6 +296,10 @@ def cmd_appd(args) -> int:
         span = cfg.get("span", cfg.get("search_radius", 10.0 * pitch))
         if not (0 < pitch < math.inf and 0 < span < math.inf):
             raise InvalidArgument("pitch and span must be positive and finite")
+        if 2.0 * span / pitch + 1.0 > _MAX_GRID_NODES ** (1.0 / S.dim):
+            raise InvalidArgument(
+                f"a candidate grid of pitch {pitch:g} and span {span:g} has "
+                f"more than {_MAX_GRID_NODES:.0e} nodes")
         axis = np.arange(-span, span + pitch / 2.0, pitch)
         if S.dim == 1:
             cand = axis.reshape(-1, 1)
@@ -339,9 +344,8 @@ def cmd_palm(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _load_config(args.config, "verify")
-    summary = run_checks(only=args.only, **_given(vars(args), "seed"),
-                         **_given(cfg, "peak_threshold_scale"))
+    _load_config(args.config, "verify")
+    summary = run_checks(only=args.only, **_given(vars(args), "seed"))
     _emit(summary, args.out, "verify.json")
     return 0 if summary["all_passed"] else 1
 

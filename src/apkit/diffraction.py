@@ -21,13 +21,13 @@ from .errors import (
     EmptyCandidateSet,
     InvalidArgument,
     NoAtomAtZero,
-    RadiusExceedsWindow,
     TranslationExceedsWindow,
 )
 from .gridindex import GridIndex
 from .pointset import (
     PointSet,
-    RegionSpec,
+    _check_reach,
+    _in_ball,
     atomic_write_text,
     ball_volume,
     mean_nn_spacing,
@@ -54,6 +54,9 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 #: largest number of complex exponentials held in one block of a Fourier sum
 _EXP_BLOCK = 4_000_000
 
+#: largest number of nodes in a k grid or an appd candidate grid
+_MAX_GRID_NODES = 10_000_000
+
 
 @dataclass(frozen=True)
 class KGrid(Record):
@@ -74,17 +77,25 @@ class KGrid(Record):
             raise InvalidArgument("k grid needs finite lo, hi and step > 0")
         if np.any(self.hi < self.lo):
             raise InvalidArgument("hi must be >= lo")
+        nodes = math.prod(self._count(d) for d in range(self.dim))
+        if nodes > _MAX_GRID_NODES:
+            raise InvalidArgument(
+                f"k grid has {nodes:.3g} nodes, more than {_MAX_GRID_NODES:.0e}")
 
     @property
     def dim(self) -> int:
         return len(self.lo)
 
+    def _count(self, d: int):
+        """Nodes on axis d; inf when span / step overflows."""
+        x = (float(self.hi[d]) - float(self.lo[d])) / self.step + 1e-9
+        return math.floor(x) + 1 if x < math.inf else math.inf
+
     def axis(self, d: int) -> np.ndarray:
-        n = int(math.floor((self.hi[d] - self.lo[d]) / self.step + 1e-9)) + 1
-        return self.lo[d] + self.step * np.arange(n)
+        return self.lo[d] + self.step * np.arange(self._count(d))
 
     def shape(self) -> tuple:
-        return tuple(len(self.axis(d)) for d in range(self.dim))
+        return tuple(self._count(d) for d in range(self.dim))
 
     def nodes(self) -> np.ndarray:
         axes = [self.axis(d) for d in range(self.dim)]
@@ -95,15 +106,6 @@ class KGrid(Record):
     @staticmethod
     def from_json(doc: dict) -> "KGrid":
         return KGrid(doc["lo"], doc["hi"], doc["step"])
-
-
-def _ball_points(S: PointSet, R: float) -> np.ndarray:
-    if R > S.window_radius * (1.0 + 1e-9):
-        raise RadiusExceedsWindow(
-            f"R={R:g} exceeds window radius {S.window_radius:g}")
-    if len(S) == 0:
-        return S.points
-    return S.points[RegionSpec.ball(np.zeros(S.dim), R).contains(S.points)]
 
 
 def _fourier_sums(P: np.ndarray, K: np.ndarray) -> np.ndarray:
@@ -153,7 +155,7 @@ def fourier_sum(S: PointSet, R: float, k) -> complex:
     k = np.asarray(k, dtype=float).reshape(1, -1)
     if k.shape[1] != S.dim:
         raise DimensionMismatch("frequency dimension differs from the set")
-    P = _ball_points(S, R)
+    P = S.ball(R)
     return complex(_fourier_sums(P, k)[0])
 
 
@@ -189,7 +191,7 @@ def periodogram(S: PointSet, R: float, k_grid: KGrid,
         warnings.warn(
             f"k-grid step {k_grid.step:g} exceeds 1/(4R)={1.0 / (4.0 * R):g}; "
             "peaks may fall between nodes", stacklevel=2)
-    P = _ball_points(S, R)
+    P = S.ball(R)
     vol = ball_volume(S.dim, R)
     power = np.abs(_grid_fourier_sums(P, k_grid)) ** 2
     values = power / vol if normalization == "per-volume" else power / vol ** 2
@@ -209,7 +211,7 @@ def atom_mass(S: PointSet, k, radii) -> tuple[float, float]:
     radii = schedule(radii)
     series = np.empty(len(radii))
     for i, R in enumerate(radii):
-        P = _ball_points(S, float(R))
+        P = S.ball(float(R))
         vol = ball_volume(S.dim, float(R))
         series[i] = float(np.abs(_fourier_sums(P, k)[0]) ** 2) / vol ** 2
     return tail_mean(series), tail_spread(series)
@@ -276,8 +278,9 @@ def detect_bragg_peaks(S: PointSet, radii, k_grid: KGrid,
     R = float(radii[-1])
     if len(S) == 0:
         return []
+    P = S.ball(R)
     if threshold is None:
-        dens = len(_ball_points(S, R)) / ball_volume(S.dim, R)
+        dens = len(P) / ball_volume(S.dim, R)
         threshold = 0.05 * dens * dens
     per = periodogram(S, R, k_grid)
     vol = ball_volume(S.dim, R)
@@ -285,7 +288,6 @@ def detect_bragg_peaks(S: PointSet, radii, k_grid: KGrid,
     cand = _grid_local_maxima(per.values, shape)
     cand = cand[per.values[cand] >= threshold * vol]
     nodes = per.k_grid.nodes()
-    P = _ball_points(S, R)
 
     def power(k: np.ndarray) -> float:
         return float(np.abs(_fourier_sums(P, k.reshape(1, -1))[0]) ** 2)
@@ -409,8 +411,7 @@ def criterion_gamma_concentration(gamma, R: float, eps: float,
     """
     mu, converged = _unwrap_gamma(gamma)
     gamma0 = mu.mass_at_zero()
-    norms = np.sqrt(np.sum(mu.locations ** 2, axis=1))
-    sel = norms <= search_radius * (1.0 + 1e-9)
+    sel = _in_ball(np.sqrt(np.sum(mu.locations ** 2, axis=1)), search_radius)
     cand = mu.locations[sel]
     if len(cand) == 0:
         raise NoAtomAtZero("no candidate atoms inside the searched ball")
@@ -435,8 +436,7 @@ def criterion_atom_concentration(gamma, eps: float, search_radius: float, *,
     """
     mu, converged = _unwrap_gamma(gamma)
     gamma0 = mu.mass_at_zero()
-    norms = np.sqrt(np.sum(mu.locations ** 2, axis=1))
-    sel = norms <= search_radius * (1.0 + 1e-9)
+    sel = _in_ball(np.sqrt(np.sum(mu.locations ** 2, axis=1)), search_radius)
     return _finish_report("ATOM_concentration", eps, mu.locations[sel],
                           mu.weights[sel] >= gamma0 - eps, gap_bound,
                           search_radius, converged, {"gamma_zero": gamma0})
@@ -457,10 +457,9 @@ def criterion_almost_periods(S: PointSet, eps: float, t_candidates, radii, *,
     radii = schedule(radii)
     if radii.size < 2:
         raise InvalidArgument("need at least two radii to read the density tail")
-    need = reach + eps + radii[-1]
-    if need > S.window_radius * (1.0 + 1e-9):
-        raise TranslationExceedsWindow(
-            f"candidates need window {need:g}, have {S.window_radius:g}")
+    # the schedule against the smallest mismatch window, W - |t| - eps
+    _check_reach(radii[-1], S.window_radius - reach - eps,
+                 TranslationExceedsWindow, "schedule")
     densities = np.array([
         upper_density(asymmetric_mismatch(S, translate(S, t), eps),
                       radii).value

@@ -27,7 +27,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .gridindex import GridIndex
-from .pointset import PointSet, RegionSpec, ball_volume
+from .pointset import PointSet, RegionSpec, _check_reach, ball_volume
 from .util import Record, schedule
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
@@ -132,11 +132,15 @@ def make_lattice(basis, window_radius: float) -> PointSet:
     if scale == 0 or abs(np.linalg.det(B)) < 1e-12 * scale ** d:
         raise SingularBasis("basis vectors are linearly dependent")
     pts = _lattice_points(B, window_radius)
-    # shortest nonzero lattice vector over a small combination box
+    # a nonzero lattice vector from a small combination box bounds the
+    # shortest one, r0; every vector no longer than r0 lies in B_r0, so the
+    # least nonzero norm there is the shortest vector
     small = np.stack(np.meshgrid(*([np.arange(-4, 5)] * d), indexing="ij"),
                      axis=-1).reshape(-1, d)
     small = small[np.any(small != 0, axis=1)]
-    r = float(np.min(np.sqrt(np.sum((small @ B) ** 2, axis=1))))
+    r0 = float(np.min(np.sqrt(np.sum((small @ B) ** 2, axis=1))))
+    norms = np.sqrt(np.sum(_lattice_points(B, r0) ** 2, axis=1))
+    r = float(np.min(norms[norms > 0]))
     return PointSet(pts, window_radius, r)
 
 
@@ -494,7 +498,6 @@ class ProcessSampler:
     intensity: float | None = None
     hardcore: float | None = None
     noise_bound: float | None = None
-    noise_distribution: str = "uniform_ball"
     dim: int = 1
 
     def __post_init__(self):
@@ -520,12 +523,8 @@ class ProcessSampler:
                 raise ConfigError("matern_II needs intensity and hardcore")
             if self.intensity < 0 or self.hardcore <= 0:
                 raise ConfigError("matern_II needs intensity >= 0, hardcore > 0")
-        if self.kind == "perturbed_lattice":
-            if self.noise_bound is None:
-                raise ConfigError("perturbed_lattice needs noise_bound")
-            if self.noise_distribution != "uniform_ball":
-                raise ConfigError(
-                    f"unsupported noise distribution {self.noise_distribution!r}")
+        if self.kind == "perturbed_lattice" and self.noise_bound is None:
+            raise ConfigError("perturbed_lattice needs noise_bound")
 
     def to_json(self) -> dict:
         doc: dict = {"kind": self.kind, "seed": int(self.seed),
@@ -540,8 +539,6 @@ class ProcessSampler:
             doc["hardcore"] = float(self.hardcore)
         if self.noise_bound is not None:
             doc["noise_bound"] = float(self.noise_bound)
-        if self.kind == "perturbed_lattice":
-            doc["noise_distribution"] = self.noise_distribution
         if self.basis is None and self.cut_project is None:
             doc["dim"] = int(self.dim)
         return doc
@@ -557,7 +554,6 @@ class ProcessSampler:
             intensity=doc.get("intensity"),
             hardcore=doc.get("hardcore"),
             noise_bound=doc.get("noise_bound"),
-            noise_distribution=doc.get("noise_distribution", "uniform_ball"),
             dim=doc.get("dim", 1),
         )
 
@@ -713,11 +709,8 @@ def palm_intensity(p: ProcessSampler, A: RegionSpec,
     _at_least_one(n_samples=n_samples)
     if B is None:
         B = default_palm_base(A.dim)
-    margin = A.diameter() + B.diameter()
-    if margin > p.window_radius:
-        raise WindowTooSmall(
-            f"need window > diameter(A) + diameter(B) = {margin:g}, have "
-            f"{p.window_radius:g}")
+    _check_reach(A.diameter() + B.diameter(), p.window_radius, WindowTooSmall,
+                 "diameter(A) + diameter(B)")
     volB = B.volume()
     if not volB > 0:
         raise InvalidArgument("base region B must have positive volume")
@@ -796,9 +789,7 @@ def event_almost_periods(p: ProcessSampler, R: float, eps: float,
     _at_least_one(n_samples=n_samples)
     cand, reach, search_radius = _candidates(t_candidates, _process_dim(p),
                                              search_radius)
-    if reach + R > p.window_radius:
-        raise WindowTooSmall(
-            f"candidates need window > {reach + R:g}, have {p.window_radius:g}")
+    _check_reach(reach + R, p.window_radius, WindowTooSmall, "|t| + R")
 
     def one(i: int) -> np.ndarray:
         chi = sample(p, i)

@@ -52,6 +52,21 @@ _REL_SLACK = 1e-9   # relative slack for closed-boundary float comparisons
 _MAX_CSV_DIM = 8
 
 
+def _in_ball(norms, R: float):
+    """The closed-ball rule: which norms lie in B_R, up to _REL_SLACK.
+
+    Every estimate that reads the points of a set in a ball about the
+    origin, and every check of a reach against a window, uses this rule.
+    """
+    return norms <= R * (1.0 + _REL_SLACK)
+
+
+def _check_reach(need: float, window: float, error: type, what: str) -> None:
+    """Raise error unless a reach of need fits the window (``_in_ball``)."""
+    if not _in_ball(need, window):
+        raise error(f"{what} reaches {need:.6g}, window is {window:.6g}")
+
+
 def ball_volume(dim: int, radius: float) -> float:
     """Lebesgue volume of the closed Euclidean ball of the given radius."""
     if dim < 1:
@@ -202,9 +217,9 @@ class PointSet:
     def _validate(self) -> None:
         if not np.all(np.isfinite(self.points)):
             raise InvalidArgument("point coordinates must be finite")
-        w = self.window_radius * (1.0 + _REL_SLACK) + 1e-12
-        if len(self) and float(np.max(self.norms())) > w:
-            raise RegionOutsideWindow("points outside the declared window")
+        if len(self):
+            _check_reach(float(np.max(self.norms())), self.window_radius,
+                         RegionOutsideWindow, "a point")
         r = self.hardcore_radius
         if len(self) > 1:
             cell = max(r, self.window_radius / 1024.0, 1e-12)
@@ -227,6 +242,13 @@ class PointSet:
             self._norms = np.sqrt(np.sum(self.points ** 2, axis=1))
         return self._norms
 
+    def ball(self, R: float) -> np.ndarray:
+        """The points in the closed R-ball (``_in_ball``); R within the window."""
+        if not R >= 0:
+            raise InvalidArgument("ball radius must be >= 0")
+        _check_reach(R, self.window_radius, RadiusExceedsWindow, "radius")
+        return self.points[_in_ball(self.norms(), R)]
+
     def grid(self, cell_size: float) -> GridIndex:
         return GridIndex(self.points, cell_size)
 
@@ -238,10 +260,8 @@ def count_in_region(S: PointSet, region: RegionSpec) -> int:
     """
     if region.dim != S.dim:
         raise DimensionMismatch("region and point set dimensions differ")
-    if region.outer_radius() > S.window_radius * (1.0 + _REL_SLACK) + 1e-12:
-        raise RegionOutsideWindow(
-            f"region reaches {region.outer_radius():.6g}, window is "
-            f"{S.window_radius:.6g}")
+    _check_reach(region.outer_radius(), S.window_radius, RegionOutsideWindow,
+                 "region")
     if len(S) == 0:
         return 0
     return int(np.count_nonzero(region.contains(S.points)))
@@ -259,9 +279,7 @@ def translate(S: PointSet, t) -> PointSet:
     if len(t) != S.dim:
         raise DimensionMismatch("translation vector has wrong dimension")
     tnorm = float(np.linalg.norm(t))
-    if tnorm > S.window_radius * (1.0 + _REL_SLACK):
-        raise TranslationExceedsWindow(
-            f"|t|={tnorm:.6g} exceeds window radius {S.window_radius:.6g}")
+    _check_reach(tnorm, S.window_radius, TranslationExceedsWindow, "|t|")
     new_w = max(0.0, S.window_radius - tnorm)
     shifted = S.points - t
     keep = np.sum(shifted ** 2, axis=1) <= (new_w * (1.0 + _REL_SLACK)) ** 2 + 1e-300
@@ -366,11 +384,8 @@ def metric_d(S: PointSet, S2: PointSet, tol: float = 1e-3) -> float:
         raise DimensionMismatch("point sets live in different dimensions")
     if not (0.0 < tol < METRIC_CAP):
         raise InvalidArgument("tol must lie in (0, 1/sqrt(2))")
-    min_w = min(S.window_radius, S2.window_radius)
-    if 1.0 / tol > min_w * (1.0 + _REL_SLACK):
-        raise WindowTooSmall(
-            f"covering check at scale tol={tol:g} needs window >= {1.0 / tol:g}, "
-            f"have {min_w:g}")
+    _check_reach(1.0 / tol, min(S.window_radius, S2.window_radius),
+                 WindowTooSmall, f"covering check at scale tol={tol:g}")
 
     windows = (S.window_radius, S2.window_radius)
 
@@ -401,11 +416,8 @@ def upper_density(S: PointSet, radii) -> DensityEstimate:
     a finite-scale stand-in for the upper density limsup.
     """
     radii = schedule(radii)
-    if radii[-1] > S.window_radius * (1.0 + _REL_SLACK):
-        raise RadiusExceedsWindow(
-            f"schedule reaches {radii[-1]:.6g}, window is {S.window_radius:.6g}")
-    sorted_norms = np.sort(S.norms()) if len(S) else np.empty(0)
-    counts = np.searchsorted(sorted_norms, radii * (1.0 + _REL_SLACK), side="right")
+    _check_reach(radii[-1], S.window_radius, RadiusExceedsWindow, "schedule")
+    counts = np.array([np.count_nonzero(_in_ball(S.norms(), r)) for r in radii])
     vols = np.array([ball_volume(S.dim, r) for r in radii])
     values = counts / vols
     return DensityEstimate(tail_max(values), radii, values,
@@ -438,8 +450,8 @@ def relative_density_gap(candidates, search_radius: float) -> float:
     if not (0 < search_radius < math.inf):
         raise InvalidArgument("search_radius must be positive and finite")
     norms = np.sqrt(np.sum(pts ** 2, axis=1))
-    if float(np.max(norms)) > search_radius * (1.0 + _REL_SLACK) + 1e-12:
-        raise RegionOutsideWindow("candidates outside the probed ball")
+    _check_reach(float(np.max(norms)), search_radius, RegionOutsideWindow,
+                 "candidates")
     w = float(search_radius)
     if pts.shape[1] == 1:
         xs = np.sort(pts[:, 0])

@@ -26,7 +26,14 @@ from .errors import (
     SupportTooLarge,
     WindowTooSmall,
 )
-from .pointset import PointSet, metric_d, translate, upper_density
+from .pointset import (
+    PointSet,
+    _check_reach,
+    _in_ball,
+    metric_d,
+    translate,
+    upper_density,
+)
 from .testfunc import TestFunction
 from .util import bisect_threshold, schedule, tail_converged, tail_max
 
@@ -68,7 +75,7 @@ def asymmetric_mismatch(S: PointSet, S2: PointSet, a: float) -> PointSet:
     w_eval = min(S.window_radius, S2.window_radius) - a
     if w_eval <= 0:
         raise WindowTooSmall("windows too small for this mismatch scale")
-    pts = S.points[S.norms() <= w_eval * (1.0 + 1e-9)]
+    pts = S.ball(w_eval)
     d2 = S2.grid(max(a, S2.hardcore_radius)).nn_d2(pts, a)
     return PointSet(pts[~(d2 <= a * a)], w_eval, S.hardcore_radius,
                     validate=False)
@@ -104,9 +111,9 @@ def dbar(S: PointSet, S2: PointSet, radii, tol: float | None = None) -> float:
         raise InvalidArgument("tol must lie in (0, r/2)")
     radii = schedule(radii)
     min_w = min(S.window_radius, S2.window_radius)
-    if radii[-1] > min_w - cap:
-        raise RadiusExceedsWindow(
-            f"density radii must stay within min window - r/2 = {min_w - cap:g}")
+    # the smallest evaluation window, min_w - a at a = cap, is the one that
+    # upper_density checks the schedule against at the last bisection step
+    _check_reach(radii[-1], min_w - cap, RadiusExceedsWindow, "schedule")
     sides = [(A, B.grid(max(cap, B.hardcore_radius)).nn_d2(A.points, cap))
              for A, B in ((S, S2), (S2, S))]
 
@@ -114,8 +121,8 @@ def dbar(S: PointSet, S2: PointSet, radii, tol: float | None = None) -> float:
         w_eval = min_w - a
         if w_eval <= 0:
             raise WindowTooSmall("windows too small for this mismatch scale")
-        pts = np.vstack([A.points[(A.norms() <= w_eval * (1.0 + 1e-9))
-                                  & ~(d2 <= a * a)] for A, d2 in sides])
+        pts = np.vstack([A.points[_in_ball(A.norms(), w_eval) & ~(d2 <= a * a)]
+                         for A, d2 in sides])
         mism = PointSet(pts, w_eval, r, validate=False)
         return upper_density(mism, radii).value <= a
 
@@ -155,10 +162,8 @@ def dbar_c(S: PointSet, S2: PointSet, R: float, quad_points: int = 48,
     """
     _check_pair(S, S2)
     radii = schedule(R * np.asarray(schedule_fractions, dtype=float))
-    min_w = min(S.window_radius, S2.window_radius)
-    if R + 1.0 / tol > min_w * (1.0 + 1e-9):
-        raise WindowTooSmall(
-            f"need window >= R + 1/tol = {R + 1.0 / tol:g}, have {min_w:g}")
+    _check_reach(R + 1.0 / tol, min(S.window_radius, S2.window_radius),
+                 WindowTooSmall, "R + 1/tol")
     nodes, h = _midpoint_grid(R, S.dim, quad_points)
     vals = np.array([metric_d(translate(S, t), translate(S2, t), tol)
                      for t in nodes])
@@ -186,11 +191,8 @@ def mu_conv_f(S: PointSet, f: TestFunction, u) -> float:
     if f.dim != S.dim:
         raise DimensionMismatch("test function dimension differs from the set")
     u = np.asarray(u, dtype=float).reshape(-1)
-    reach = float(np.linalg.norm(u - f.center)) + f.support_radius
-    if reach > S.window_radius * (1.0 + 1e-9):
-        raise OutsideWindow(
-            f"evaluation needs points out to {reach:g}, window is "
-            f"{S.window_radius:g}")
+    _check_reach(float(np.linalg.norm(u - f.center)) + f.support_radius,
+                 S.window_radius, OutsideWindow, "evaluation")
     return float(_mu_conv_f_batch(S, f, u.reshape(1, -1))[0])
 
 
@@ -207,10 +209,9 @@ def dbar_f(S: PointSet, S2: PointSet, f: TestFunction, radii,
         raise SupportTooLarge(
             f"support bound {f.support_bound():g} exceeds r/5 = {r / 5.0:g}")
     radii = schedule(radii)
-    min_w = min(S.window_radius, S2.window_radius)
-    if radii[-1] + f.support_bound() > min_w * (1.0 + 1e-9):
-        raise RadiusExceedsWindow(
-            "radius schedule plus bump support exceeds the windows")
+    _check_reach(radii[-1] + f.support_bound(),
+                 min(S.window_radius, S2.window_radius), RadiusExceedsWindow,
+                 "schedule plus bump support")
     nodes, h = _midpoint_grid(float(radii[-1]), S.dim, quad_points)
     diff = np.abs(_mu_conv_f_batch(S, f, nodes) - _mu_conv_f_batch(S2, f, nodes))
     return _ball_report(nodes, h, diff, radii)
@@ -225,12 +226,10 @@ def dtilde(S: PointSet, S2: PointSet, radii, match_tol: float = 1e-12) -> float:
     _check_pair(S, S2)
     radii = schedule(radii)
     min_w = min(S.window_radius, S2.window_radius)
-    if radii[-1] > min_w * (1.0 + 1e-9):
-        raise RadiusExceedsWindow("radius schedule exceeds the shared window")
+    _check_reach(radii[-1], min_w, RadiusExceedsWindow, "schedule")
 
     def one_sided(A: PointSet, B: PointSet) -> np.ndarray:
-        sel = A.norms() <= min_w * (1.0 + 1e-9)
-        pts = A.points[sel]
+        pts = A.ball(min_w)
         if len(pts) == 0 or len(B) == 0:
             return pts
         hit = B.grid(max(B.hardcore_radius, 1e-6)).any_within(pts, match_tol)

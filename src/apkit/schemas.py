@@ -68,7 +68,6 @@ SAMPLER = {
         "intensity": _NONNEG,
         "hardcore": _POS,
         "noise_bound": _NONNEG,
-        "noise_distribution": {"const": "uniform_ball"},
         "dim": _POS_INT,
     },
     "required": ["kind", "seed", "window_radius"],
@@ -188,12 +187,7 @@ PALM = {
     "required": ["sampler", "region"],
 }
 
-VERIFY = {
-    "type": "object", "additionalProperties": False,
-    "properties": {
-        "peak_threshold_scale": _POS,
-    },
-}
+VERIFY = {"type": "object", "additionalProperties": False, "properties": {}}
 
 COMMAND_SCHEMAS = {
     "generate": GENERATE,

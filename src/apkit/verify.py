@@ -47,7 +47,6 @@ from .generators import (
 from .pointset import (
     PointSet,
     RegionSpec,
-    ball_volume,
     mean_nn_spacing,
     translate,
 )
@@ -304,9 +303,7 @@ def _coherence_candidates(mu, gamma0: float, spacing: float,
     return cand[keep]
 
 
-def check_criterion_coherence(seed: int = 0,
-                              peak_threshold_scale: float | None = None
-                              ) -> CheckResult:
+def check_criterion_coherence(seed: int = 0) -> CheckResult:
     """Concentration, mismatch-density, and smoothed-profile verdicts agree.
 
     All three executable criteria must reach the same verdict on each corpus
@@ -342,13 +339,9 @@ def check_criterion_coherence(seed: int = 0,
         bohr = bohr_test_mu_conv_f(mu, f_bohr, _EPS, cand, probes,
                                    gap_bound=bound, search_radius=search)
         kstep = 1.0 / (4.0 * float(gamma_radii[-1]))
-        theta = None
-        if peak_threshold_scale is not None:
-            dens = len(S) / ball_volume(S.dim, S.window_radius)
-            theta = peak_threshold_scale * dens * dens
         peaks = detect_bragg_peaks(S, gamma_radii,
                                    KGrid([-_K_SEARCH - 0.2], [_K_SEARCH + 0.2],
-                                         kstep), threshold=theta)
+                                         kstep))
         kgap = float(peak_span_gap(peaks, _K_SEARCH))
         peaks_dense = bool(kgap <= _K_GAP_BOUND)
         verdicts = {"C3": c3.verdict, "C5": c5.verdict, "BOHR": bohr.verdict}
@@ -560,21 +553,13 @@ _CHECKS = {
 CHECK_TAGS = tuple(_CHECKS)
 
 
-def run_checks(seed: int = 0, only: str | None = None,
-               peak_threshold_scale: float | None = None) -> dict:
+def run_checks(seed: int = 0, only: str | None = None) -> dict:
     """Run the verification corpus; JSON-ready summary, stable under reruns."""
     if only is not None and only not in _CHECKS:
         raise InvalidArgument(
             f"unknown check tag {only!r}; known tags: {', '.join(CHECK_TAGS)}")
-    results = []
-    for tag in CHECK_TAGS:
-        if only is not None and tag != only:
-            continue
-        if tag == "criterion_coherence":
-            results.append(check_criterion_coherence(
-                seed=seed, peak_threshold_scale=peak_threshold_scale))
-        else:
-            results.append(_CHECKS[tag](seed=seed))
+    results = [_CHECKS[tag](seed=seed) for tag in CHECK_TAGS
+               if only is None or tag == only]
     return {
         "seed": int(seed),
         "checks": [r.to_json() for r in results],

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import apkit as ak
+from apkit import verify
 from apkit.cli import main
 
 
@@ -701,6 +702,25 @@ def test_appd_empty_2d_grid_exit_code(tmp_path, capsys):
     assert captured.err.startswith("error: no candidate translations")
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("diffract", {"radii": [10.0, 20.0], "k_lo": [-1e6], "k_hi": [1e6],
+                  "k_step": 1e-6}),
+    ("appd", {"eps": 0.1, "radii": [10.0, 20.0], "pitch": 1e-11,
+              "span": 5.0}),
+], ids=["k_grid", "appd_grid"])
+def test_huge_grid_refused_before_allocating_exit_code(tmp_path, capsys,
+                                                       command, doc):
+    # both used to die in numpy with _ArrayMemoryError, exit 1
+    a = write_set(tmp_path, ak.make_lattice([[1.0]], 40.0), "a.csv")
+    cfg = write_config(tmp_path, doc)
+    code = main([command, a, "--config", cfg, "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "1e+07" in captured.err
+
+
 def test_threads_flag_is_rejected(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--threads", "2", "--only", "fibonacci",
@@ -733,14 +753,25 @@ def test_run_checks_unknown_tag_is_invalid_argument():
         ak.run_checks(only="bogus")
 
 
-def test_verify_misconfigured_threshold_fails_honestly(tmp_path, capsys):
-    # a much larger peak threshold hides the lattice peaks; the coherence
-    # check must then fail and the command must exit nonzero
-    cfg = write_config(tmp_path, {"peak_threshold_scale": 10.0})
+def test_verify_misconfigured_threshold_fails_honestly(tmp_path, capsys,
+                                                       monkeypatch):
+    # a check that fails must make the command fail: exit 1, not a pass
+    monkeypatch.setitem(verify._CHECKS, "criterion_coherence",
+                        lambda seed: verify.CheckResult(
+                            "criterion_coherence", False, {"seed": seed}))
     code, doc = run(capsys, "verify", "--only", "criterion_coherence",
-                    "--config", cfg, "--out", str(tmp_path))
+                    "--out", str(tmp_path))
     assert code == 1
     assert doc["all_passed"] is False
+    assert doc["checks"] == [{"tag": "criterion_coherence", "passed": False,
+                              "details": {"seed": 0}}]
+
+
+def test_verify_config_takes_no_keys(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"peak_threshold_scale": 10.0})
+    code, _ = run(capsys, "verify", "--only", "fibonacci", "--config", cfg,
+                  "--out", str(tmp_path))
+    assert code == 2
 
 
 def test_verify_rerun_is_byte_identical(tmp_path, capsys):

@@ -50,6 +50,23 @@ def test_kgrid_rejects_bad_ranges():
         ak.KGrid([1.0], [0.0], 0.5)
 
 
+@pytest.mark.parametrize("lo, hi, step", [
+    ([-1e6], [1e6], 1e-6),
+    ([-10.0, -10.0], [10.0, 10.0], 1e-3),
+    ([-1e308], [1e308], 1e-300),
+], ids=["1d", "2d_product", "overflow"])
+def test_kgrid_refuses_more_nodes_than_the_cap(lo, hi, step):
+    with pytest.raises(ak.InvalidArgument, match="nodes"):
+        ak.KGrid(lo, hi, step)
+
+
+def test_kgrid_cap_counts_nodes_like_axis():
+    g = ak.KGrid([0.0], [diffraction._MAX_GRID_NODES - 1.0], 1.0)
+    assert g.shape() == (diffraction._MAX_GRID_NODES,)
+    with pytest.raises(ak.InvalidArgument):
+        ak.KGrid([0.0], [float(diffraction._MAX_GRID_NODES)], 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Fourier sums
 
@@ -85,6 +102,12 @@ def test_fourier_sum_matches_brute_on_random_points():
 def test_fourier_sum_restricts_to_radius():
     S = z_lattice(100.0)
     assert ak.fourier_sum(S, 10.0, [0.0]) == pytest.approx(21.0 + 0.0j)
+
+
+@pytest.mark.parametrize("R", [-1.0, math.nan])
+def test_fourier_sum_rejects_a_negative_or_nan_radius(R):
+    with pytest.raises(ak.InvalidArgument):
+        ak.fourier_sum(z_lattice(10.0), R, [0.0])
 
 
 def test_fourier_sum_dimension_mismatch():

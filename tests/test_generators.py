@@ -81,10 +81,8 @@ def test_make_lattice_one_row_leaves_equal_one_meshgrid(monkeypatch, basis,
 @pytest.mark.parametrize("block_rows", [7, 2_000_000])
 def test_skewed_lattice_points_equal_one_meshgrid(monkeypatch, block_rows,
                                                   leaf_rows):
-    # make_lattice itself refuses this basis (see
-    # test_make_lattice_still_rejects_a_hidden_short_vector), so the pruned
-    # enumeration behind it is compared directly; the full box holds
-    # 426,909 rows for 275 points, so most leaves are dropped
+    # the pruned enumeration behind make_lattice, compared directly; the
+    # full box holds 426,909 rows for 275 points, so most leaves are dropped
     monkeypatch.setattr(generators, "_BLOCK_ROWS", block_rows)
     monkeypatch.setattr(generators, "_LEAF_ROWS", leaf_rows)
     got = ak.PointSet(generators._lattice_points(np.array(SKEWED_BASIS), 1.0),
@@ -594,21 +592,47 @@ def test_cut_and_project_octagonal_separated_by_brute_force():
 SKEWED_BASIS = [[1.0, 0.0], [10.5, 0.01]]
 
 
-def test_make_lattice_still_rejects_a_hidden_short_vector():
-    # r is the shortest vector over combinations in [-4, 4]^2, here 1, but
-    # 2 * (10.5, 0.01) - 21 * (1, 0) = (0, 0.02)
+def test_make_lattice_declares_the_exact_shortest_vector():
+    # the box [-4, 4]^2 of combinations holds nothing shorter than (1, 0),
+    # but 2 * (10.5, 0.01) - 21 * (1, 0) = (0, 0.02)
+    S = ak.make_lattice(SKEWED_BASIS, 1.0)
+    assert len(S) == 275
+    assert S.hardcore_radius == pytest.approx(0.02, rel=1e-9)
+    assert S.hardcore_radius == pytest.approx(
+        oracles.brute_min_pair_distance(S.points), rel=1e-12)
+
+
+def test_make_lattice_still_validates_its_points(monkeypatch):
+    # a pair closer than the declared r must still be refused
+    real = generators._lattice_points
+
+    def with_a_close_pair(B, radius):
+        pts = real(B, radius)
+        return np.vstack([pts, [[0.01, 0.0]]]) if radius == 5.0 else pts
+
+    monkeypatch.setattr(generators, "_lattice_points", with_a_close_pair)
     with pytest.raises(ak.NotUniformlyDiscrete):
-        ak.make_lattice(SKEWED_BASIS, 1.0)
+        ak.make_lattice([[1.0, 0.0], [0.0, 1.0]], 5.0)
 
 
-def test_randomized_lattice_raises_for_a_hidden_short_vector_every_call():
-    # the same defect with a smaller enumeration box: SKEWED_BASIS at the
-    # sampler's base radius (window + 12.5) would enumerate ~7e7 points.
-    # Declared r = |(0.5, 0.1)|, but 2 * (4.5, 0.1) - 9 * (1, 0) = (0, 0.2)
+def test_randomized_lattice_samples_a_skewed_basis():
+    # 2 * (4.5, 0.1) - 9 * (1, 0) = (0, 0.2) lies outside the small box
     p = ak.ProcessSampler("randomized_lattice", 0, 2.0,
                           basis=[[1.0, 0.0], [4.5, 0.1]])
+    S = ak.sample(p, 0)
+    assert S.hardcore_radius == pytest.approx(0.2, rel=1e-9)
+    assert len(S) > 1
+    assert oracles.brute_min_pair_distance(S.points) >= \
+        S.hardcore_radius * (1.0 - 1e-9)
+    assert ak.sample(p, 0).points.tobytes() == S.points.tobytes()
+
+
+def test_randomized_lattice_raises_for_a_singular_basis_every_call():
+    # lru_cache keeps no exceptions, so every call raises afresh
+    p = ak.ProcessSampler("randomized_lattice", 0, 2.0,
+                          basis=[[1.0, 2.0], [2.0, 4.0]])
     for _ in range(2):
-        with pytest.raises(ak.NotUniformlyDiscrete):
+        with pytest.raises(ak.SingularBasis):
             ak.sample(p, 0)
 
 

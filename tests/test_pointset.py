@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -525,3 +526,119 @@ def test_pointset_rejects_non_finite_coordinates():
     for bad in (math.nan, math.inf):
         with pytest.raises(ak.InvalidArgument):
             ak.PointSet([[0.0, 0.0], [1.0, bad]], 5.0, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# one closed-ball rule, one window-horizon check
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_every_estimate_reads_the_same_closed_ball(dim):
+    # one point just past R, inside the rule's relative slack: every
+    # finite-R estimate must count it, since gamma({0}) is the density
+    R = 10.0
+    near, far = np.zeros(dim), np.zeros(dim)
+    near[0], far[-1] = 3.0, R * (1.0 + 5e-10)
+    S = ak.PointSet([np.zeros(dim), near, far], R, 1.0)
+    vol = ak.ball_volume(dim, R)
+    counts = [
+        ak.upper_density(S, [R]).value * vol,
+        ak.finite_autocorrelation(S, R).mass_at_zero() * vol,
+        abs(ak.fourier_sum(S, R, np.zeros(dim))),
+        len(ak.PairDifferences(S, R, 2.0 * R).P),
+        len(S.ball(R)),
+    ]
+    assert counts == pytest.approx([3.0] * len(counts), rel=1e-12)
+
+
+W = 10.0
+
+
+def bump(radius: float, center: float = 0.0) -> ak.TestFunction:
+    return ak.TestFunction("triangle_bump", radius, 1.0 / radius, [center])
+
+
+def lattice_sampler_1d() -> ak.ProcessSampler:
+    return ak.ProcessSampler("randomized_lattice", 0, W, basis=[[1.0]])
+
+
+# each case reaches need = (its window) * s; the window is W unless noted
+HORIZON_CASES = {
+    "PointSet": (ak.RegionOutsideWindow,
+                 lambda s: ak.PointSet([[0.0], [W * s]], W, 1.0)),
+    "count_in_region": (ak.RegionOutsideWindow, lambda s: ak.count_in_region(
+        z_lattice(W), ak.RegionSpec.ball([0.0], W * s))),
+    "translate": (ak.TranslationExceedsWindow,
+                  lambda s: ak.translate(z_lattice(W), [W * s])),
+    "metric_d": (ak.WindowTooSmall, lambda s: ak.metric_d(
+        z_lattice(W), z_lattice(W), 1.0 / (W * s))),
+    "upper_density": (ak.RadiusExceedsWindow,
+                      lambda s: ak.upper_density(z_lattice(W), [W * s])),
+    # the window is the probed ball
+    "relative_density_gap": (ak.RegionOutsideWindow,
+                             lambda s: ak.relative_density_gap(
+                                 [[0.0], [W * s]], W)),
+    "finite_autocorrelation": (ak.RadiusExceedsWindow,
+                               lambda s: ak.finite_autocorrelation(
+                                   z_lattice(W), W * s)),
+    "PairDifferences": (ak.RadiusExceedsWindow, lambda s: ak.PairDifferences(
+        z_lattice(W), W * s, 2.0)),
+    "hf_functional": (ak.WindowTooSmall, lambda s: ak.hf_functional(
+        z_lattice(W), bump(1.0), bump(1.0, W * s - 2.0))),
+    "birkhoff_average_hf": (ak.WindowTooSmall, lambda s: ak.birkhoff_average_hf(
+        z_lattice(W), bump(1.0), bump(1.0), W * s - 2.0, quad_points=16)),
+    "fourier_sum": (ak.RadiusExceedsWindow,
+                    lambda s: ak.fourier_sum(z_lattice(W), W * s, [0.0])),
+    "periodogram": (ak.RadiusExceedsWindow, lambda s: ak.periodogram(
+        z_lattice(W), W * s, ak.KGrid([0.0], [0.2], 0.02))),
+    "atom_mass": (ak.RadiusExceedsWindow, lambda s: ak.atom_mass(
+        z_lattice(W), [0.0], [5.0, W * s])),
+    "detect_bragg_peaks": (ak.RadiusExceedsWindow,
+                           lambda s: ak.detect_bragg_peaks(
+                               z_lattice(W), [5.0, W * s],
+                               ak.KGrid([-0.1], [0.1], 0.02))),
+    # the window is the smallest mismatch window, W - |t| - eps
+    "criterion_almost_periods": (ak.TranslationExceedsWindow,
+                                 lambda s: ak.criterion_almost_periods(
+                                     z_lattice(W), 0.1, [[1.0]],
+                                     [2.0, (W - 1.0 - 0.1) * s],
+                                     gap_bound=20.0)),
+    # the window is the smallest evaluation window, W - r/2
+    "dbar": (ak.RadiusExceedsWindow, lambda s: ak.dbar(
+        z_lattice(W), z_lattice(W), [(W - 0.5) * s])),
+    "dbar_c": (ak.WindowTooSmall, lambda s: ak.dbar_c(
+        z_lattice(W), z_lattice(W), W * s - 2.0, quad_points=4, tol=0.5)),
+    "mu_conv_f": (ak.OutsideWindow, lambda s: ak.mu_conv_f(
+        z_lattice(W), bump(1.0), [W * s - 1.0])),
+    "dbar_f": (ak.RadiusExceedsWindow, lambda s: ak.dbar_f(
+        z_lattice(W), z_lattice(W), bump(0.1), [W * s - 0.1],
+        quad_points=64)),
+    "dtilde": (ak.RadiusExceedsWindow,
+               lambda s: ak.dtilde(z_lattice(W), z_lattice(W), [W * s])),
+    "palm_intensity": (ak.WindowTooSmall, lambda s: ak.palm_intensity(
+        lattice_sampler_1d(), ak.RegionSpec.ball([0.0], (W * s - 1.0) / 2.0),
+        n_samples=2)),
+    "event_almost_periods": (ak.WindowTooSmall,
+                             lambda s: ak.event_almost_periods(
+                                 lattice_sampler_1d(), W * s - 1.0, 0.1,
+                                 [[1.0]], 2, gap_bound=2.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HORIZON_CASES))
+def test_window_horizon_is_one_closed_ball_check(case):
+    error, reach = HORIZON_CASES[case]
+    with pytest.raises(error):
+        reach(1.0 + 2e-9)
+    reach(1.0 + 5e-10)
+
+
+def test_ball_rule_is_stated_once():
+    # the rule and the horizon check live in pointset; no module restates them
+    restated = ("window_radius * (1.0 + 1e-9)", "min_w * (1.0 + 1e-9)",
+                "RegionSpec.ball(np.zeros(")
+    for path in sorted(pathlib.Path(ak.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert not [s for s in restated if s in text], path.name
+        if path.name != "pointset.py":
+            assert "_REL_SLACK" not in text, path.name
