@@ -42,18 +42,16 @@ def _group_by_cell(locations: np.ndarray, cell: float):
     """Group label of each row by its floor-quantized cell, and the count.
 
     Labels number the cells in code order: a cumulative sum of the bool
-    "new cell" flags over the sorted codes. The codes die here, before the
-    caller aggregates.
+    "new cell" flags over the sorted codes, scattered back to the rows.
+    Equal codes get equal labels, so the sort need not be stable.
     """
     codes = _cell_codes(locations, cell, "bin_tol")[0]
-    order = np.argsort(codes, kind="stable")
+    order = np.argsort(codes)
     codes = codes[order]
-    new_cell = codes[1:] != codes[:-1]
+    sorted_gid = np.zeros(len(order), dtype=np.int64)
+    np.cumsum(codes[1:] != codes[:-1], out=sorted_gid[1:])
     del codes
-    gid = np.empty(len(order), dtype=np.int64)
-    sorted_gid = np.empty(len(order), dtype=np.int64)
-    sorted_gid[0] = 0
-    np.cumsum(new_cell, out=sorted_gid[1:])
+    gid = np.empty_like(sorted_gid)
     gid[order] = sorted_gid
     return gid, int(sorted_gid[-1]) + 1
 
@@ -67,18 +65,24 @@ def _aggregate(locations, weights, group_ids, n_groups):
     return locs, wsum
 
 
-def bin_atoms(locations: np.ndarray, weights: np.ndarray, bin_tol: float):
+def bin_atoms(locations: np.ndarray, weights: np.ndarray, bin_tol: float,
+              *, labels: tuple[np.ndarray, int] | None = None):
     """Merge atoms until all pairwise distances are >= bin_tol.
 
     Quantize to bin_tol cells, take weighted centroids, then repeatedly merge
     connected components of the within-bin_tol proximity graph. Smeared mass
     therefore collapses to local weighted centroids at bin_tol resolution.
+
+    ``labels`` lends the rows' cell labels and their count, equal to what
+    the quantization would give (``PairDifferences.cells_at``), so a radius
+    schedule quantizes its differences once.
     """
     locations = np.atleast_2d(np.asarray(locations, dtype=float))
     weights = np.asarray(weights, dtype=float)
     if len(locations) == 0:
         return locations, weights
-    gid, n_groups = _group_by_cell(locations, bin_tol)
+    gid, n_groups = (_group_by_cell(locations, bin_tol) if labels is None
+                     else labels)
     locs, wts = _aggregate(locations, weights, gid, n_groups)
     for _ in range(32):
         grid = GridIndex(locs, bin_tol)
@@ -210,7 +214,9 @@ class PairDifferences:
 
     Holds the points P = ``S.ball(R)``, the pairs (qi, pi) of P at distance
     <= diff_cutoff, and their differences P[pi] - P[qi]. ``at(r)`` gives the
-    differences of the pairs within a radius r <= R.
+    differences of the pairs within a radius r <= R, and ``cells_at(r,
+    bin_tol)`` gives them with their bin_tol cell labels, so a schedule
+    enumerates its pairs and quantizes their differences once.
 
     Why ``at(r)`` equals a fresh enumeration at r, row for row and bit for
     bit: it keeps the points of P by S's cached norms and the ball rule, so
@@ -225,6 +231,19 @@ class PairDifferences:
     coordinates. So the rows whose two ends both lie in the r-ball come out
     in exactly the order, and with exactly the floats, of the enumeration
     at r.
+
+    Why the labels of ``cells_at(r, bin_tol)`` equal ``bin_atoms``' own on
+    ``at(r)``: the differences at R are labelled once per bin_tol, and a
+    smaller radius keeps its rows' labels, renumbered to consecutive values
+    in the same order (a bitmap of the cells present and its cumulative
+    sum). That is the quantization of the subset because
+    - floor cells are absolute: a row's cell does not depend on which other
+      rows are quantized with it;
+    - row-major codes order cells lexicographically whatever the mins and
+      extents of the rows coded, so the subset's distinct cells come in the
+      same order, and a row's rank among them is its renumbered label;
+    - with equal labels on the same rows in the same order, ``bin_atoms``'
+      bincounts add the same floats in the same order.
     """
 
     def __init__(self, S: PointSet, R: float, diff_cutoff: float):
@@ -244,16 +263,38 @@ class PairDifferences:
         else:
             self.qi = self.pi = np.empty(0, dtype=np.int64)
         self.diffs = self.P[self.pi] - self.P[self.qi]
+        self._labels: dict[float, tuple[np.ndarray, int]] = {}
+
+    def _inside(self, r: float) -> np.ndarray:
+        inside = _in_ball(self._norms, r)
+        return inside[self.qi] & inside[self.pi]
 
     def at(self, r: float) -> np.ndarray:
         """Differences of the pairs with both ends in the closed r-ball.
 
         At r = R this is ``diffs`` itself, not a copy.
         """
+        return self.diffs if r == self.R else self.diffs[self._inside(r)]
+
+    def cells_at(self, r: float, bin_tol: float):
+        """``at(r)`` and its rows' bin_tol cell labels with their count.
+
+        The labels are those ``bin_atoms(at(r), w, bin_tol)`` would compute;
+        the differences at R are quantized once per bin_tol.
+        """
+        if bin_tol not in self._labels:
+            self._labels[bin_tol] = (
+                _group_by_cell(self.diffs, bin_tol) if len(self.diffs)
+                else (np.empty(0, dtype=np.int64), 0))
+        gid, n_groups = self._labels[bin_tol]
         if r == self.R:
-            return self.diffs
-        inside = _in_ball(self._norms, r)
-        return self.diffs[inside[self.qi] & inside[self.pi]]
+            return self.diffs, (gid, n_groups)
+        keep = self._inside(r)
+        gid = gid[keep]
+        present = np.zeros(n_groups, dtype=bool)
+        present[gid] = True
+        rank = np.cumsum(present) - 1
+        return self.diffs[keep], (rank[gid], int(np.count_nonzero(present)))
 
 
 def finite_autocorrelation(S: PointSet, R: float, bin_tol: float | None = None,
@@ -291,11 +332,11 @@ def finite_autocorrelation(S: PointSet, R: float, bin_tol: float | None = None,
     elif pairs.R < R:
         raise InvalidArgument(
             f"pairs were enumerated within radius {pairs.R:g} < R={R:g}")
-    diffs = pairs.at(R)
+    diffs, labels = pairs.cells_at(R, bin_tol)
     if len(diffs) == 0:
         return WeightedAtomMeasure(S.dim, np.empty((0, S.dim)), np.empty(0),
                                    bin_tol, validate=False)
-    locs, wts = bin_atoms(diffs, np.ones(len(diffs)), bin_tol)
+    locs, wts = bin_atoms(diffs, np.ones(len(diffs)), bin_tol, labels=labels)
     return WeightedAtomMeasure(S.dim, locs, wts / ball_volume(S.dim, R),
                                bin_tol, validate=False)
 

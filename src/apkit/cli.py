@@ -252,7 +252,7 @@ def cmd_diffract(args) -> int:
     grid = KGrid(cfg["k_lo"], cfg["k_hi"], cfg["k_step"])
     pg = periodogram(S, R, grid, **_given(cfg, "normalization"))
     peaks = detect_bragg_peaks(S, radii, grid, **_given(
-        cfg, "threshold", "stability_bound"))
+        cfg, "threshold", "stability_bound"), per=pg)
     peaks_doc = [p.to_json() for p in peaks]
     summary = {"command": "diffract", "R": R, "n_points": len(S),
                "n_peaks": len(peaks), "peaks": peaks_doc}

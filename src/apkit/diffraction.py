@@ -262,7 +262,8 @@ def _grid_local_maxima(values: np.ndarray, shape: tuple) -> np.ndarray:
 
 def detect_bragg_peaks(S: PointSet, radii, k_grid: KGrid,
                        threshold: float | None = None,
-                       stability_bound: float = 0.2) -> list[BraggPeak]:
+                       stability_bound: float = 0.2, *,
+                       per: Periodogram | None = None) -> list[BraggPeak]:
     """Stable atoms of the diffraction estimate over a frequency grid.
 
     Grid local maxima of the largest-radius periodogram above
@@ -271,6 +272,11 @@ def detect_bragg_peaks(S: PointSet, radii, k_grid: KGrid,
     peaks below threshold mass or above the stability bound are dropped.
     The default threshold is 0.05 times the squared counting density; one
     radius cannot score stability, so the schedule needs two.
+
+    ``per`` lends ``periodogram(S, R, k_grid)`` at the largest radius, so a
+    caller that also writes it computes it once. An "atom-mass" periodogram
+    is not used: its values do not give the per-volume ones bit for bit.
+    One at another radius or on another grid object raises InvalidArgument.
     """
     radii = schedule(radii)
     if radii.size < 2:
@@ -282,7 +288,11 @@ def detect_bragg_peaks(S: PointSet, radii, k_grid: KGrid,
     if threshold is None:
         dens = len(P) / ball_volume(S.dim, R)
         threshold = 0.05 * dens * dens
-    per = periodogram(S, R, k_grid)
+    if per is not None and (per.radius_used != R or per.k_grid is not k_grid):
+        raise InvalidArgument(
+            f"the lent periodogram is not the one at R={R:g} on this k grid")
+    if per is None or per.normalization != "per-volume":
+        per = periodogram(S, R, k_grid)
     vol = ball_volume(S.dim, R)
     shape = per.k_grid.shape()
     cand = _grid_local_maxima(per.values, shape)
@@ -320,11 +330,16 @@ def detect_bragg_peaks(S: PointSet, radii, k_grid: KGrid,
 
 
 def peak_span_gap(peaks: list[BraggPeak], search_radius: float) -> float:
-    """Relative-density gap of the detected peak locations in k-space."""
+    """Relative-density gap of the detected peaks in the searched k-ball.
+
+    Peaks outside the closed ball (``_in_ball``) are left out, as C3 and
+    ATOM leave out atoms; with none left the gap is inf.
+    """
     if not peaks:
         return math.inf
     locs = np.stack([p.location for p in peaks])
-    return relative_density_gap(locs, search_radius)
+    locs = locs[_in_ball(np.sqrt(np.sum(locs ** 2, axis=1)), search_radius)]
+    return relative_density_gap(locs, search_radius) if len(locs) else math.inf
 
 
 # ---------------------------------------------------------------------------

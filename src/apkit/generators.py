@@ -27,7 +27,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .gridindex import GridIndex
-from .pointset import PointSet, RegionSpec, _check_reach, ball_volume
+from .pointset import PointSet, RegionSpec, _check_reach, _in_ball, ball_volume
 from .util import Record, schedule
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
@@ -795,9 +795,10 @@ def event_almost_periods(p: ProcessSampler, R: float, eps: float,
         chi = sample(p, i)
         if len(chi) == 0:
             return np.zeros(len(cand), dtype=np.int64)
-        occ0 = bool(np.any(chi.norms() <= R))
+        # B_R(0) and every B_R(t) read by one rule, so t = 0 agrees with itself
+        occ0 = bool(np.any(_in_ball(chi.norms(), R)))
         d2 = np.sum((chi.points[None, :, :] - cand[:, None, :]) ** 2, axis=2)
-        occt = np.any(d2 <= R * R, axis=1)
+        occt = np.any(_in_ball(np.sqrt(d2), R), axis=1)
         return (occt != occ0).astype(np.int64)
 
     counts = sum(one(i) for i in range(n_samples))

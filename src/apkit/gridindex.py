@@ -28,22 +28,33 @@ def _cell_codes(points: np.ndarray, cell: float, knob: str):
 
     Returns (codes, mins, extents, strides). Raises InvalidArgument, naming
     `knob`, when a cell coordinate or the code range would overflow int64.
+    Works one column at a time. A column's extreme cells are the floors of
+    its extreme coordinates (division and floor are monotone), and the codes
+    are summed from per-column int64 products.
     """
-    cells = np.floor(points / cell)
-    # bound before the cast: int64 conversion wraps silently
-    if not -_MAX_CODES < float(cells.min()) <= float(cells.max()) < _MAX_CODES:
+    cols = [points[:, d] for d in range(points.shape[1])]
+    ends = [sorted((float(c.min() / cell), float(c.max() / cell))) for c in cols]
+    # bound before the cast: int64 conversion wraps silently; NaN fails too
+    if not all(-_MAX_CODES < e < _MAX_CODES for pair in ends for e in pair):
         raise InvalidArgument(
             "cell coordinates out of range: non-finite coordinates or a "
             f"{knob} too fine for their extent")
-    cells = cells.astype(np.int64)
-    mins = cells.min(axis=0)
-    extents = cells.max(axis=0) - mins + 1
-    if np.prod(extents.astype(object)) >= _MAX_CODES:
+    # exact Python ints: e // 1 is floor(e) for finite e
+    lo = [int(e // 1) for e, _ in ends]
+    sizes = [int(e // 1) - m + 1 for (_, e), m in zip(ends, lo)]
+    steps = [1] * len(sizes)
+    for d in range(len(sizes) - 1, 0, -1):
+        steps[d - 1] = steps[d] * sizes[d]
+    if steps[0] * sizes[0] >= _MAX_CODES:
         raise InvalidArgument(f"{knob} too fine for the coordinate extent")
-    strides = np.ones(len(extents), dtype=np.int64)
-    for i in range(len(extents) - 2, -1, -1):
-        strides[i] = strides[i + 1] * extents[i + 1]
-    return (cells - mins) @ strides, mins, extents, strides
+    codes = np.zeros(len(points), dtype=np.int64)
+    for c, m, s in zip(cols, lo, steps):
+        part = np.floor(c / cell).astype(np.int64)
+        part -= m
+        part *= s
+        codes += part
+    return (codes, np.array(lo, dtype=np.int64),
+            np.array(sizes, dtype=np.int64), np.array(steps, dtype=np.int64))
 
 
 class GridIndex:

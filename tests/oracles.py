@@ -293,3 +293,44 @@ def brute_metric_d(A, wa: float, B, wb: float, tol: float) -> float:
         else:
             lo = mid
     return hi
+
+
+_MAX_CODES = 2**62
+
+
+def ref_cell_codes(points, cell: float, knob: str):
+    """Row-major floor-cell codes, reducing the whole (N, dim) cell array.
+
+    The reference for ``gridindex._cell_codes``: axis-0 reductions and one
+    int64 matmul. Raises ValueError with the library's messages.
+    """
+    cells = np.floor(np.asarray(points, dtype=float) / cell)
+    if not -_MAX_CODES < float(cells.min()) <= float(cells.max()) < _MAX_CODES:
+        raise ValueError(
+            "cell coordinates out of range: non-finite coordinates or a "
+            f"{knob} too fine for their extent")
+    cells = cells.astype(np.int64)
+    mins = cells.min(axis=0)
+    extents = cells.max(axis=0) - mins + 1
+    if np.prod(extents.astype(object)) >= _MAX_CODES:
+        raise ValueError(f"{knob} too fine for the coordinate extent")
+    strides = np.ones(len(extents), dtype=np.int64)
+    for i in range(len(extents) - 2, -1, -1):
+        strides[i] = strides[i + 1] * extents[i + 1]
+    return (cells - mins) @ strides, mins, extents, strides
+
+
+def ref_group_by_cell(locations, cell: float):
+    """Cell labels of the rows in code order, and their count.
+
+    A stable argsort of the codes, "new cell" flags summed along the sorted
+    order, and the sums scattered back through the permutation.
+    """
+    codes = ref_cell_codes(locations, cell, "bin_tol")[0]
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    sorted_gid = np.zeros(len(order), dtype=np.int64)
+    np.cumsum(codes[1:] != codes[:-1], out=sorted_gid[1:])
+    gid = np.empty(len(order), dtype=np.int64)
+    gid[order] = sorted_gid
+    return gid, int(sorted_gid[-1]) + 1

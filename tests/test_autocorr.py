@@ -297,6 +297,69 @@ def test_limit_measures_equal_independent_calls(monkeypatch, make, radii,
     assert_same_measure(est.measure, seen[-1][1])
 
 
+def matern_points_2d() -> ak.PointSet:
+    p = ak.ProcessSampler("matern_II", 0, 14.0, intensity=1.0, hardcore=0.5,
+                          dim=2)
+    return ak.sample(p, 0)
+
+
+def reference_measure(S, R, bin_tol, cutoff):
+    """bin_atoms on a fresh enumeration at R, labelled by the reference."""
+    diffs = ak.PairDifferences(S, R, cutoff).diffs
+    labels = oracles.ref_group_by_cell(diffs, bin_tol)
+    locs, wts = ak.bin_atoms(diffs, np.ones(len(diffs)), bin_tol,
+                             labels=labels)
+    mu = ak.WeightedAtomMeasure(S.dim, locs, wts / ak.ball_volume(S.dim, R),
+                                bin_tol, validate=False)
+    return mu, labels
+
+
+@pytest.mark.parametrize("make, radii, cutoff", [
+    (shifted_integers, [2.0, 20.0, 60.0], 4.0),
+    (octagonal_points, [5.0, 9.0, 12.0], 3.5),
+    (matern_points_2d, [6.0, 9.0, 12.0], 3.0),
+])
+@pytest.mark.parametrize("bin_tol", [None, 0.05])
+def test_lent_labels_match_reference_grouping(monkeypatch, make, radii, cutoff,
+                                              bin_tol):
+    S = make()
+    tol = S.hardcore_radius * 1e-3 if bin_tol is None else bin_tol
+    seen = []
+    original = autocorr.finite_autocorrelation
+
+    def recording(S, R, *args, **kwargs):
+        mu = original(S, R, *args, **kwargs)
+        seen.append((kwargs["pairs"].cells_at(R, tol)[1], mu))
+        return mu
+
+    monkeypatch.setattr(autocorr, "finite_autocorrelation", recording)
+    ak.autocorrelation_limit(S, radii, bin_tol, cutoff)
+    counts = []
+    for R, (lent, mu) in zip(radii, seen):
+        want, ref = reference_measure(S, R, tol, cutoff)
+        assert np.array_equal(lent[0], ref[0]) and lent[1] == ref[1]
+        assert_same_measure(mu, want)
+        counts.append(ref[1])
+    # smaller radii lose cells, so the renumbering is exercised
+    assert counts == sorted(counts) and counts[0] < counts[-1]
+
+
+def test_coarse_bin_tol_runs_the_merge_loop():
+    S = matern_points_2d()
+    mu, (_, n_cells) = reference_measure(S, 6.0, 0.05, 3.0)
+    assert len(mu) < n_cells
+
+
+def test_one_pairs_object_serves_two_bin_tols():
+    S = octagonal_points()
+    pairs = ak.PairDifferences(S, 12.0, 3.5)
+    for tol in (0.05, 1e-4, 0.05):
+        for R in (5.0, 12.0):
+            mu = ak.finite_autocorrelation(S, R, tol, 3.5, pairs=pairs)
+            assert_same_measure(mu, reference_measure(S, R, tol, 3.5)[0])
+    assert sorted(pairs._labels) == [1e-4, 0.05]
+
+
 def test_limit_enumerates_pairs_once(monkeypatch):
     S = octagonal_points()
     calls = []

@@ -369,6 +369,41 @@ def test_diffract_lattice_finds_integer_peaks(tmp_path, capsys):
     assert (tmp_path / "periodogram.csv").exists()
 
 
+@pytest.mark.parametrize("normalization", ["per-volume", "atom-mass"])
+def test_diffract_lends_its_periodogram(tmp_path, capsys, monkeypatch,
+                                        normalization):
+    from apkit import cli, diffraction
+
+    S = ak.make_lattice([[1.0]], 120.0)
+    a = write_set(tmp_path, S, "a.csv")
+    radii, grid = [80.0, 120.0], ak.KGrid([-1.1], [1.1], 1.0 / 480.0)
+    cfg = write_config(tmp_path, {
+        "radii": radii, "k_lo": [-1.1], "k_hi": [1.1], "k_step": 1.0 / 480.0,
+        "normalization": normalization})
+    want_peaks = [p.to_json() for p in ak.detect_bragg_peaks(S, radii, grid)]
+    ak.write_periodogram_csv(
+        ak.periodogram(S, 120.0, grid, normalization=normalization),
+        str(tmp_path / "want.csv"))
+    calls = []
+    original = diffraction.periodogram
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("normalization", "per-volume"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "periodogram", counting)
+    monkeypatch.setattr(diffraction, "periodogram", counting)
+    out = tmp_path / "out"
+    out.mkdir()
+    code, doc = run(capsys, "diffract", a, "--config", cfg, "--out", str(out))
+    assert code == 0
+    # an atom-mass periodogram cannot give the detector's per-volume values
+    assert len(calls) == (1 if normalization == "per-volume" else 2)
+    assert doc["peaks"] == want_peaks and len(want_peaks) == 3
+    assert ((out / "periodogram.csv").read_bytes()
+            == (tmp_path / "want.csv").read_bytes())
+
+
 def test_diffract_criteria_block(tmp_path, capsys):
     a = write_set(tmp_path, ak.make_lattice([[1.0]], 300.0), "a.csv")
     cfg = write_config(tmp_path, {

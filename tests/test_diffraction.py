@@ -360,6 +360,36 @@ def test_peak_span_gap_of_detected_lattice_peaks():
     assert math.isinf(ak.peak_span_gap([], 3.0))
 
 
+def test_peak_span_gap_drops_peaks_refined_past_the_ball():
+    # golden-section refinement can move a peak at the edge of the searched
+    # k-ball just outside it; the gap leaves it out, as C3 and ATOM do
+    inner = [ak.BraggPeak(np.array([float(m)]), 1.0, 0.0)
+             for m in range(-2, 3)]
+    edge = [ak.BraggPeak(np.array([s * 3.0000106]), 1.0, 0.0)
+            for s in (-1.0, 1.0)]
+    assert ak.peak_span_gap(inner + edge, 3.0) == ak.peak_span_gap(inner, 3.0)
+    assert math.isinf(ak.peak_span_gap(edge, 3.0))
+    on_edge = [ak.BraggPeak(np.array([3.0]), 1.0, 0.0)]
+    assert ak.peak_span_gap(inner + on_edge, 3.0) == pytest.approx(1.0)
+
+
+def test_detect_peaks_with_a_lent_periodogram():
+    S = ak.make_lattice([[1.0]], 120.0)
+    radii, grid = [80.0, 120.0], ak.KGrid([-1.1], [1.1], 1.0 / 480.0)
+    want = [p.to_json() for p in ak.detect_bragg_peaks(S, radii, grid)]
+    for norm in ("per-volume", "atom-mass"):
+        per = ak.periodogram(S, 120.0, grid, normalization=norm)
+        got = ak.detect_bragg_peaks(S, radii, grid, per=per)
+        assert [p.to_json() for p in got] == want
+    with pytest.raises(ak.InvalidArgument, match="lent periodogram"):
+        ak.detect_bragg_peaks(S, radii, grid,
+                              per=ak.periodogram(S, 80.0, grid))
+    other = ak.KGrid([-1.1], [1.1], 1.0 / 480.0)
+    with pytest.raises(ak.InvalidArgument, match="lent periodogram"):
+        ak.detect_bragg_peaks(S, radii, other,
+                              per=ak.periodogram(S, 120.0, grid))
+
+
 # ---------------------------------------------------------------------------
 # criterion reports
 

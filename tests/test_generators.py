@@ -791,6 +791,20 @@ def test_event_periods_lattice_integers_are_exact():
     assert all(w >= r for w, r in zip(wilson, rep.details["event_rate"]))
 
 
+def test_event_periods_read_both_balls_by_one_rule(monkeypatch):
+    # |x| rounds to exactly 1.0 but |x - 0|^2 to 1.0000000000000002: read by
+    # two rules, B_1(0) held x and B_1(t = 0) did not, a spurious event
+    x = np.array([[0.12256550967387159, 0.9924604253260602]])
+    assert float(np.sqrt(np.sum(x ** 2))) == 1.0
+    assert float(np.sum(x ** 2)) > 1.0
+    p = ak.ProcessSampler("randomized_lattice", 0, 5.0, basis=np.eye(2))
+    monkeypatch.setattr(generators, "sample",
+                        lambda p, i: ak.PointSet(x, 5.0, 1.0))
+    rep = ak.event_almost_periods(p, 1.0, 0.1, [[0.0, 0.0]], n_samples=3,
+                                  gap_bound=4.0, search_radius=1.0)
+    assert rep.details["event_rate"] == [0.0]
+
+
 def test_event_periods_window_guard():
     p = lattice_sampler(1, window=5.0)
     with pytest.raises(ak.WindowTooSmall):

@@ -5,7 +5,48 @@ import pytest
 
 import apkit as ak
 import oracles
-from apkit.gridindex import GridIndex
+from apkit.gridindex import GridIndex, _cell_codes
+
+
+# ---------------------------------------------------------------------------
+# cell codes against the whole-array reference
+
+
+def assert_same_codes(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.int64
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("cell", [1e-3, 0.37, 4.0])
+def test_cell_codes_match_reference(dim, cell):
+    rng = np.random.default_rng(dim + int(100 * cell))
+    pts = rng.uniform(-9.0, 3.0, size=(200, dim))
+    pts[0] = -9.0   # a coordinate on a cell boundary
+    assert_same_codes(_cell_codes(pts, cell, "cell_size"),
+                      oracles.ref_cell_codes(pts, cell, "cell_size"))
+    one = pts[:1]
+    assert_same_codes(_cell_codes(one, cell, "cell_size"),
+                      oracles.ref_cell_codes(one, cell, "cell_size"))
+
+
+@pytest.mark.parametrize("pts, cell", [
+    ([[0.0, 1.0], [math.nan, 2.0]], 0.5),
+    ([[0.0, 1.0], [2.0, math.inf]], 0.5),
+    ([[0.0], [-math.inf]], 0.5),
+    ([[0.0], [1e300]], 1.0),                      # a cell coordinate overflows
+    ([[0.0, 0.0], [1e10, 1e10]], 1e-3),           # the code range overflows
+    ([[0.0], [1.0]], 0.0),
+])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cell_codes_raise_the_reference_text(pts, cell):
+    pts = np.array(pts)
+    with pytest.raises(ValueError) as want:
+        oracles.ref_cell_codes(pts, cell, "bin_tol")
+    with pytest.raises(ak.InvalidArgument) as got:
+        _cell_codes(pts, cell, "bin_tol")
+    assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------
