@@ -47,7 +47,6 @@ from .pseudometrics import (
     dbar_f,
     dtilde,
     mu_conv_f,
-    symmetric_mismatch,
 )
 from .autocorr import (
     AutocorrEstimate,
@@ -117,7 +116,7 @@ __all__ = [
     "write_pointset_csv",
     "TestFunction",
     "PseudoMetricReport", "asymmetric_mismatch", "dbar", "dbar_c", "dbar_f",
-    "dtilde", "mu_conv_f", "symmetric_mismatch",
+    "dtilde", "mu_conv_f",
     "AutocorrEstimate", "PairDifferences", "WeightedAtomMeasure",
     "autocorrelation_limit",
     "bin_atoms", "birkhoff_average_hf", "debias_ball_edge", "evaluate",

@@ -7,9 +7,9 @@ Euclidean balls. The cell size is a tuning knob: pick it near the query
 radius so each lookup touches a bounded number of neighbor cells.
 
 ``nn_d2`` is the one nearest-distance search: every "how far is the nearest
-other point" question goes through it, except the scale metric's shared pair
-lists and ``dtilde``'s exact-match probe. It computes d2 with ``pairs_within``'s own expression, so its
-minima compare exactly with a pair query's.
+other point" question goes through it, except ``dtilde``'s exact-match
+probe. It computes d2 with ``pairs_within``'s own expression, so its minima
+compare exactly with a pair query's.
 """
 
 from __future__ import annotations

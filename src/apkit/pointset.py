@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,6 @@ from .errors import (
 from .gridindex import GridIndex
 from .util import (
     Record,
-    bisect_threshold,
     fmt_float,
     schedule,
     tail_converged,
@@ -209,8 +207,6 @@ class PointSet:
         self.window_radius = float(window_radius)
         self.hardcore_radius = float(hardcore_radius)
         self._norms = None
-        self._origin = None   # (parent, t, keep) when made by translate
-        self._near = None     # metric_d's cached neighbour pairs
         if validate:
             self._validate()
 
@@ -267,118 +263,64 @@ def count_in_region(S: PointSet, region: RegionSpec) -> int:
     return int(np.count_nonzero(region.contains(S.points)))
 
 
-def translate(S: PointSet, t) -> PointSet:
-    """The set S - t, faithfully windowed to radius window_radius - |t|.
+def _shift(S: PointSet, t: np.ndarray):
+    """The window clip of S - t, the one rule of ``translate``.
 
-    The result records its provenance ``(S, t, keep)``: the parent, the
-    shift and the mask of parent rows that survive the window clip. The
-    result's points are exactly ``S.points[keep] - t``, re-sorted, so
-    ``metric_d`` can work from the parent's neighbour pairs.
+    Returns the shifted points, their norms, the rows that stay in the
+    shrunken window (``_in_ball``) and that window, window_radius - |t|.
     """
-    t = np.asarray(t, dtype=float).reshape(-1)
-    if len(t) != S.dim:
-        raise DimensionMismatch("translation vector has wrong dimension")
     tnorm = float(np.linalg.norm(t))
     _check_reach(tnorm, S.window_radius, TranslationExceedsWindow, "|t|")
     new_w = max(0.0, S.window_radius - tnorm)
     shifted = S.points - t
-    keep = np.sum(shifted ** 2, axis=1) <= (new_w * (1.0 + _REL_SLACK)) ** 2 + 1e-300
-    out = PointSet(shifted[keep], new_w, S.hardcore_radius, validate=False)
-    out._origin = (S, t, keep)
-    return out
+    norms = np.sqrt(np.sum(shifted ** 2, axis=1))
+    return shifted, norms, _in_ball(norms, new_w), new_w
 
 
-def _near_pairs(A: PointSet, B: PointSet):
-    """Rows (of A, of B) whose points are within METRIC_CAP + margin.
+def translate(S: PointSet, t) -> PointSet:
+    """The set S - t, faithfully windowed to radius window_radius - |t|.
 
-    The margin covers every pair that comes within METRIC_CAP after both
-    sets are shifted by a common t. With u = 2**-53 and M bounding all
-    |coordinates| and |t_i| (translate keeps |t| <= window), each shifted
-    coordinate fl(x - t) is within 2uM of x - t, so each component of the
-    shifted difference is within 4uM + u|component| of y - x. A shifted
-    squared distance <= METRIC_CAP**2 therefore puts |y - x| within about
-    sqrt(dim) * u * (4M + 3) of METRIC_CAP, and one more rounding of the
-    unshifted squared distance adds less than that again. 1e-9 * (1 + M),
-    with M taken as the larger window plus the largest |coordinate|,
-    exceeds this about 10**6 / sqrt(dim) times over. It does not depend on
-    t, so every translate of the same pair of parents hits the cache.
-
-    The list is cached on A for the last B it served, checked by identity;
-    B is held weakly so no reference cycle forms.
+    The rows kept are ``_shift``'s, the clip that ``dbar_c`` reads at each
+    quadrature node without building the set.
     """
-    near = A._near
-    if near is not None and near[0]() is B:
-        return near[1], near[2]
-    reach = max(A.window_radius, B.window_radius)
-    for P in (A, B):
-        if len(P):
-            reach = max(reach, float(np.max(np.abs(P.points))))
-    margin = 1e-9 * (1.0 + reach)
-    cell = max(min(A.hardcore_radius, B.hardcore_radius), 0.25)
-    qi, pi = B.grid(cell).pairs_within(A.points, METRIC_CAP + margin)
-    A._near = (weakref.ref(B), qi, pi)
-    return qi, pi
+    t = np.asarray(t, dtype=float).reshape(-1)
+    if len(t) != S.dim:
+        raise DimensionMismatch("translation vector has wrong dimension")
+    shifted, _, keep, new_w = _shift(S, t)
+    return PointSet(shifted[keep], new_w, S.hardcore_radius, validate=False)
 
 
-def _nearest_d2(S: PointSet, S2: PointSet):
-    """Each point's norm and least squared distance to the other set.
+def _partner_dist(A: PointSet, B: PointSet, cap: float) -> np.ndarray:
+    """Each point of A's distance to the nearest point of B; inf beyond cap."""
+    return np.sqrt(B.grid(max(cap, B.hardcore_radius)).nn_d2(A.points, cap))
 
-    Returns ``[(norms, best), (norms2, best2)]`` over the points of S and of
-    S2 (in their parents' row order when they are translates by a common
-    shift). ``best`` is inf for a point with no partner within METRIC_CAP.
-    Every value equals the one computed on S's and S2's own coordinates.
+
+def _covering_scale(sides, tol: float) -> float:
+    """The scale metric from each side's (norms, partner, other_window).
+
+    A point with norm n and partner distance b breaks scale a when it lies
+    in the clipped domain B_min(1/a, W' - a), W' the other set's window, and
+    b > a: exactly when a < min(b, 1/n, W' - n). The infimum of the scales
+    no point breaks is the max of that bound, clipped to [tol, METRIC_CAP].
     """
-    # each set is parent.points[keep] - t: two translates by equal shifts
-    # resolve to their parents, anything else to itself with t = 0 and
-    # every row kept (x - 0.0 == x bitwise)
-    oa, ob = S._origin, S2._origin
-    if oa is None or ob is None or not np.array_equal(oa[1], ob[1]):
-        oa, ob = ((P, np.zeros(P.dim), np.ones(len(P), dtype=bool))
-                  for P in (S, S2))
-    (ra, ta, ka), (rb, tb, kb) = oa, ob
-    qi, pi = _near_pairs(ra, rb)
-    # bitwise the coordinates translate produced
-    pa, pb = ra.points - ta, rb.points - tb
-    live = ka[qi] & kb[pi]
-    qi, pi = qi[live], pi[live]
-    # pairs_within's own expression; (a - b)**2 == (b - a)**2 bitwise, so
-    # one d2 serves both sides
-    d2 = np.sum((pb[pi] - pa[qi]) ** 2, axis=1)
-    close = d2 <= METRIC_CAP * METRIC_CAP
-    out = []
-    for pts, keep, rows in ((pa, ka, qi), (pb, kb, pi)):
-        best = np.full(len(pts), np.inf)
-        np.minimum.at(best, rows[close], d2[close])
-        out.append((np.sqrt(np.sum(pts[keep] ** 2, axis=1)), best[keep]))
-    return out
+    worst = tol
+    with np.errstate(divide="ignore"):
+        for norms, partner, other_window in sides:
+            bound = np.minimum(partner,
+                               np.minimum(1.0 / norms, other_window - norms))
+            worst = max(worst, float(np.max(bound, initial=tol)))
+    return min(worst, METRIC_CAP)
 
 
 def metric_d(S: PointSet, S2: PointSet, tol: float = 1e-3) -> float:
     """Scale metric: min(1/sqrt(2), inf of certified covering scales).
 
     A scale ``a`` certifies when every point of each set inside the ball of
-    radius 1/a lies within ``a`` of the other set. Certification is monotone
-    in ``a``, so the infimum is located by bisection on [tol, 1/sqrt(2)];
-    the returned value is a certified scale at most tol above the infimum.
-    Values at or below tol are reported as tol.
-
-    The predicate at scale ``a`` is evaluated on the window-clipped domain
-    B_min(1/a, W-a) of each set so that it never consults points the other
-    window cannot faithfully represent.
-
-    Each point's least squared distance to the other set is computed once,
-    and every bisection step is a masked comparison of those minima with
-    a*a. The neighbour pairs come from one query per pair of root sets:
-    when S and S2 are translates by the same t (as in ``dbar_c``), the
-    roots are their parents and all translates of that pair share one
-    cached pair list; otherwise the roots are S and S2 themselves. The
-    query radius is METRIC_CAP plus a margin that covers rounding under
-    any shift. Each distance is then recomputed from the translated
-    coordinates ``parent.points - t``, which are bitwise those of S and S2,
-    with ``pairs_within``'s own float expression, and pairs beyond
-    METRIC_CAP are dropped. So the minima equal those of a radius-METRIC_CAP
-    query on S and S2 directly, and ``min d2 <= a*a`` holds exactly when a
-    radius-``a`` query would have found some ``d2 <= a*a``.
+    radius min(1/a, W' - a), W' the other set's window, lies within ``a`` of
+    the other set; the domain clip keeps the check off points the other
+    window cannot faithfully represent. The infimum has a closed form
+    (``_covering_scale``), exact up to rounding; values below tol are
+    reported as tol.
     """
     if S.dim != S2.dim:
         raise DimensionMismatch("point sets live in different dimensions")
@@ -386,27 +328,9 @@ def metric_d(S: PointSet, S2: PointSet, tol: float = 1e-3) -> float:
         raise InvalidArgument("tol must lie in (0, 1/sqrt(2))")
     _check_reach(1.0 / tol, min(S.window_radius, S2.window_radius),
                  WindowTooSmall, f"covering check at scale tol={tol:g}")
-
-    windows = (S.window_radius, S2.window_radius)
-
-    def domain(side: int, a: float) -> float:
-        return min(1.0 / a, windows[1 - side] - a)
-
-    # domains shrink as a grows, so the one at a = tol holds all the others
-    norms, best_d2 = [], []
-    for side, (own_norms, best) in enumerate(_nearest_d2(S, S2)):
-        sel = own_norms <= domain(side, tol)
-        norms.append(own_norms[sel])
-        best_d2.append(best[sel])
-
-    def certified(a: float) -> bool:
-        for side in (0, 1):
-            if not bool(np.all(best_d2[side][norms[side] <= domain(side, a)]
-                               <= a * a)):
-                return False
-        return True
-
-    return bisect_threshold(certified, tol, METRIC_CAP, tol)
+    return _covering_scale([(A.norms(), _partner_dist(A, B, METRIC_CAP),
+                             B.window_radius) for A, B in ((S, S2), (S2, S))],
+                           tol)
 
 
 def upper_density(S: PointSet, radii) -> DensityEstimate:

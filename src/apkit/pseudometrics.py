@@ -3,13 +3,15 @@
 Four ways to compare configurations at a fixed hardcore radius:
 
 * ``dbar``: the smallest scale a at which the density of a-mismatched points
-  drops below a (bisection, capped at r/2);
+  drops below a (capped at r/2);
 * ``dbar_c``: the ball-averaged scale metric (quadrature over translates);
 * ``dbar_f``: the averaged absolute difference of bump convolutions;
 * ``dtilde``: the density of the exact symmetric difference.
 
-Each averaged quantity reports its full radius schedule so callers can see
-what the limsup surrogate was taken over.
+``dbar`` and ``dbar_c`` are exact thresholds, found in closed form from
+each point's distance to the nearest point of the other set and floored at
+``tol``. Each averaged quantity reports its full radius schedule so callers
+can see what the limsup surrogate was taken over.
 """
 
 from __future__ import annotations
@@ -27,15 +29,18 @@ from .errors import (
     WindowTooSmall,
 )
 from .pointset import (
+    METRIC_CAP,
     PointSet,
     _check_reach,
+    _covering_scale,
     _in_ball,
-    metric_d,
-    translate,
+    _partner_dist,
+    _shift,
+    ball_volume,
     upper_density,
 )
 from .testfunc import TestFunction
-from .util import bisect_threshold, schedule, tail_converged, tail_max
+from .util import schedule, tail, tail_converged, tail_max
 
 
 @dataclass
@@ -81,26 +86,17 @@ def asymmetric_mismatch(S: PointSet, S2: PointSet, a: float) -> PointSet:
                     validate=False)
 
 
-def symmetric_mismatch(S: PointSet, S2: PointSet, a: float) -> PointSet:
-    """Union of both one-sided mismatch sets (cross pairs are > a apart)."""
-    m1 = asymmetric_mismatch(S, S2, a)
-    m2 = asymmetric_mismatch(S2, S, a)
-    pts = np.vstack([m1.points, m2.points])
-    r = min(S.hardcore_radius, S2.hardcore_radius, a)
-    return PointSet(pts, m1.window_radius, r, validate=False)
-
-
 def dbar(S: PointSet, S2: PointSet, radii, tol: float | None = None) -> float:
-    """Smallest scale a (within tol) with mismatch density <= a, capped at r/2.
+    """Least scale a in [tol, r/2] with mismatch density D(a) <= a.
 
     r is the smaller of the two hardcore radii, as in ``dbar_f`` and
-    ``dtilde``; tol defaults to 1e-3 * r. The membership predicate is monotone in a, so bisection on
-    [tol, r/2] locates the threshold; values at or below tol are reported
-    as tol, and a predicate failing at the cap returns the cap.
-
-    Each point's least squared distance to the other set, capped at r/2, is
-    computed once; a bisection step masks the points of both sets to the
-    mismatch set that ``symmetric_mismatch(S, S2, a)`` would build.
+    ``dtilde``; tol defaults to 1e-3 * r. D(a) is the upper density, read
+    along the schedule as ``upper_density`` does, of the points of both
+    sets with no point of the other set within a (``asymmetric_mismatch``
+    of each side). It is a nonincreasing
+    step function with its steps at those nearest-partner distances b, so
+    the least a is tol, r/2, a b, or a value that D takes: D is evaluated
+    once at all of them. The cap r/2 is returned when no scale qualifies.
     """
     _check_pair(S, S2)
     r = min(S.hardcore_radius, S2.hardcore_radius)
@@ -110,23 +106,27 @@ def dbar(S: PointSet, S2: PointSet, radii, tol: float | None = None) -> float:
     if not (0 < tol < cap):
         raise InvalidArgument("tol must lie in (0, r/2)")
     radii = schedule(radii)
-    min_w = min(S.window_radius, S2.window_radius)
-    # the smallest evaluation window, min_w - a at a = cap, is the one that
-    # upper_density checks the schedule against at the last bisection step
-    _check_reach(radii[-1], min_w - cap, RadiusExceedsWindow, "schedule")
-    sides = [(A, B.grid(max(cap, B.hardcore_radius)).nn_d2(A.points, cap))
-             for A, B in ((S, S2), (S2, S))]
+    # the smallest mismatch window, min_w - a at a = cap, holds the schedule
+    _check_reach(radii[-1], min(S.window_radius, S2.window_radius) - cap,
+                 RadiusExceedsWindow, "schedule")
+    norms = np.concatenate([S.norms(), S2.norms()])
+    partner = np.concatenate([_partner_dist(S, S2, cap),
+                              _partner_dist(S2, S, cap)])
+    # per radius, the sorted partner distances of the points in that ball
+    ball_b = [np.sort(partner[_in_ball(norms, rr)]) for rr in radii]
+    vols = np.array([ball_volume(S.dim, rr) for rr in radii])
 
-    def ok(a: float) -> bool:
-        w_eval = min_w - a
-        if w_eval <= 0:
-            raise WindowTooSmall("windows too small for this mismatch scale")
-        pts = np.vstack([A.points[_in_ball(A.norms(), w_eval) & ~(d2 <= a * a)]
-                         for A, d2 in sides])
-        mism = PointSet(pts, w_eval, r, validate=False)
-        return upper_density(mism, radii).value <= a
+    def density(a: np.ndarray) -> np.ndarray:
+        counts = np.array([len(b) - np.searchsorted(b, a, side="right")
+                           for b in ball_b])
+        return np.max(tail(counts / vols[:, None]), axis=0)
 
-    return bisect_threshold(ok, tol, cap, tol)
+    cand = np.concatenate([[tol, cap],
+                           partner[(partner > tol) & (partner <= cap)]])
+    cand = np.concatenate([cand, density(cand)])
+    cand = np.unique(cand[(cand >= tol) & (cand <= cap)])
+    hit = cand[density(cand) <= cand]
+    return float(hit[0]) if hit.size else cap
 
 
 def _midpoint_grid(R: float, dim: int, quad_points: int):
@@ -158,15 +158,25 @@ def dbar_c(S: PointSet, S2: PointSet, R: float, quad_points: int = 48,
 
     Midpoint quadrature on the translation ball B_R; per_radius reports the
     running averages over the nested sub-balls R * schedule_fractions, and
-    the headline value is the max over that schedule's tail.
+    the headline value is the max over that schedule's tail. The value at
+    a node t is ``metric_d(translate(S, t), translate(S2, t), tol)`` with
+    each point's partner distance read on the untranslated sets, where
+    translation moves it only by rounding: no translate is built.
     """
     _check_pair(S, S2)
+    if not (0.0 < tol < METRIC_CAP):
+        raise InvalidArgument("tol must lie in (0, 1/sqrt(2))")
     radii = schedule(R * np.asarray(schedule_fractions, dtype=float))
     _check_reach(R + 1.0 / tol, min(S.window_radius, S2.window_radius),
                  WindowTooSmall, "R + 1/tol")
     nodes, h = _midpoint_grid(R, S.dim, quad_points)
-    vals = np.array([metric_d(translate(S, t), translate(S2, t), tol)
-                     for t in nodes])
+    partner = [_partner_dist(S, S2, METRIC_CAP),
+               _partner_dist(S2, S, METRIC_CAP)]
+    vals = np.empty(len(nodes))
+    for i, t in enumerate(nodes):
+        (_, n1, k1, w1), (_, n2, k2, w2) = _shift(S, t), _shift(S2, t)
+        vals[i] = _covering_scale([(n1[k1], partner[0][k1], w2),
+                                   (n2[k2], partner[1][k2], w1)], tol)
     return _ball_report(nodes, h, vals, radii)
 
 

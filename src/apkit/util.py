@@ -54,25 +54,6 @@ def tail_converged(values, rtol: float = 0.05) -> bool:
     return tail_spread(values) < rtol
 
 
-def bisect_threshold(ok, lo: float, hi: float, tol: float) -> float:
-    """Least scale in [lo, hi], within tol, where the monotone ok holds.
-
-    lo when ok(lo); hi when not ok(hi); otherwise bisect while hi - lo > tol
-    and return the last scale where ok held.
-    """
-    if ok(lo):
-        return lo
-    if not ok(hi):
-        return hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def fmt_float(x: float) -> str:
     """17 significant digits: enough to round-trip a double exactly."""
     return format(float(x), ".17g")

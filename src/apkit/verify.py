@@ -48,6 +48,7 @@ from .pointset import (
     PointSet,
     RegionSpec,
     mean_nn_spacing,
+    metric_d,
     translate,
 )
 from .pseudometrics import dbar, dbar_c, dbar_f
@@ -241,11 +242,14 @@ def check_pseudometrics(seed: int = 0) -> CheckResult:
 
     # (c) co-convergence on the shifted-lattice family
     base = make_lattice([[1.0]], 131.0)
-    series = {"s": [], "dbar": [], "dbar_c": [], "dbar_f": []}
+    series = {"s": [], "d": [], "dbar": [], "dbar_c": [], "dbar_f": []}
     fshift = TestFunction("triangle_bump", 0.19, 0.5, [0.0])
     for s in (0.2, 0.1, 0.05, 0.025):
         shifted = translate(base, [s])
         series["s"].append(s)
+        # the scale metric of Z against Z - s is exactly s
+        series["d"].append(metric_d(base, shifted, 1e-2))
+        ok = ok and abs(series["d"][-1] - s) <= 1e-12
         series["dbar"].append(dbar(base, shifted, radii))
         series["dbar_c"].append(dbar_c(base, shifted, R_c).value)
         series["dbar_f"].append(dbar_f(base, shifted, fshift, radii).value)

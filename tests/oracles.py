@@ -111,7 +111,7 @@ def brute_count_in_ball(points, center, R) -> int:
 
 
 def ball_volume(dim: int, R: float) -> float:
-    return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0) * R ** dim
+    return math.pi ** (dim / 2.0) * R ** dim / math.gamma(dim / 2.0 + 1.0)
 
 
 def brute_upper_density(points, radii, dim: int) -> float:
@@ -158,34 +158,63 @@ def brute_mismatch_points(A, B, a, w_eval):
     return np.array(out) if out else np.zeros((0, A.shape[1]))
 
 
-def brute_dbar(A, B, w: float, r: float, radii, tol: float) -> float:
-    """dbar by quadratic scans at every bisection scale.
+def brute_partner_dist(P, Q, cap: float) -> list:
+    """Each row of P's distance to the nearest row of Q, inf beyond cap.
 
-    A scale a passes when the points of both sets within w - a that have no
-    point of the other set within a have upper density at most a; w is the
-    smaller window and r the shared hardcore radius. Same bisection
-    schedule as the library.
+    One dense (len(P), len(Q)) matrix of squared distances.
+    """
+    P = np.asarray(P, dtype=float)
+    Q = np.asarray(Q, dtype=float)
+    if len(Q) == 0:
+        return [math.inf] * len(P)
+    d2 = np.sum((Q[None, :, :] - P[:, None, :]) ** 2, axis=2).min(axis=1)
+    return [math.sqrt(v) if v <= cap * cap else math.inf for v in d2.tolist()]
+
+
+def brute_mismatch_density(norms, partner, radii, dim: int, a: float) -> float:
+    """Tail max of count/volume of the points whose partner is beyond a."""
+    mism = [n for n, b in zip(norms, partner) if b > a]
+    radii = np.sort(np.asarray(radii, dtype=float))
+    vals = [sum(1 for n in mism if n <= R + 1e-12) / ball_volume(dim, R)
+            for R in radii]
+    return max(vals[len(vals) // 2:])
+
+
+def brute_dbar(A, B, r: float, radii, tol: float) -> float:
+    """dbar as the least candidate scale whose mismatch density is <= it.
+
+    The density D(a) of the points of both sets whose nearest point of the
+    other set is farther than a steps down only at those distances b, so
+    the least a in [tol, r/2] with D(a) <= a is tol, r/2, some b, or some
+    value of D; every candidate is tried in increasing order.
     """
     dim = np.asarray(A).shape[1]
-
-    def ok(a):
-        pts = np.vstack([brute_mismatch_points(A, B, a, w - a),
-                         brute_mismatch_points(B, A, a, w - a)])
-        return brute_upper_density(pts, radii, dim) <= a
-
     cap = r / 2.0
-    if ok(tol):
-        return tol
-    if not ok(cap):
-        return cap
-    lo, hi = tol, cap
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    pts = np.vstack([A, B])
+    norms = [math.sqrt(float(np.sum(x * x))) for x in pts]
+    partner = brute_partner_dist(A, B, cap) + brute_partner_dist(B, A, cap)
+
+    def D(a):
+        return brute_mismatch_density(norms, partner, radii, dim, a)
+
+    cand = {tol, cap} | {b for b in partner if tol < b <= cap}
+    cand |= {D(c) for c in cand}
+    for c in sorted(c for c in cand if tol <= c <= cap):
+        if D(c) <= c:
+            return c
+    return cap
+
+
+def brute_dbar_ok(A, B, w: float, radii, a: float) -> bool:
+    """dbar's defining predicate at scale a, from the mismatch sets.
+
+    The points of both sets within w - a that have no point of the other
+    set within a have upper density at most a; w is the smaller window.
+    """
+    dim = np.asarray(A).shape[1]
+    pts = np.vstack([brute_mismatch_points(A, B, a, w - a),
+                     brute_mismatch_points(B, A, a, w - a)])
+    return brute_upper_density(pts, radii, dim) <= a
 
 
 def brute_fourier_sum(points, k) -> complex:
@@ -258,41 +287,78 @@ def brute_mu_conv_f(points, shape, rho, amp, u) -> float:
     return float(sum(brute_bump(shape, rho, amp, u - x) for x in pts))
 
 
-def brute_metric_d(A, wa: float, B, wb: float, tol: float) -> float:
-    """Scale metric by a quadratic scan at every bisection scale.
+METRIC_CAP = 1.0 / math.sqrt(2.0)
 
-    A scale a covers when every point of each set with norm at most
-    min(1/a, other window - a) has a point of the other set whose squared
-    distance is at most a*a. Same bisection schedule as the library.
+
+def brute_break_scale(norms, partner, w_other: float) -> float:
+    """Max over points of min(b, 1/n, w_other - n), 0 for no points.
+
+    A point with norm n and partner distance b breaks the covering
+    certificate at every scale below that bound.
+    """
+    best = 0.0
+    for n, b in zip(norms, partner):
+        best = max(best, min(b, 1.0 / n if n > 0 else math.inf, w_other - n))
+    return best
+
+
+def brute_metric_d(A, wa: float, B, wb: float, tol: float) -> float:
+    """Scale metric as the largest break scale, clipped to [tol, 1/sqrt(2)]."""
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    worst = max(
+        brute_break_scale([math.sqrt(float(np.sum(x * x))) for x in P],
+                          brute_partner_dist(P, Q, METRIC_CAP), w_other)
+        for P, Q, w_other in ((A, B, wb), (B, A, wa)))
+    return min(max(worst, tol), METRIC_CAP)
+
+
+def brute_dbar_c_nodes(A, wa: float, B, wb: float, nodes, tol: float):
+    """The scale metric of the translates by each node.
+
+    Partner distances are read once on the untranslated sets. At node t a
+    point x counts with norm |x - t| when that norm is within its own
+    window minus |t| (relative slack 1e-9), against the other window minus
+    |t|.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    cap = 1.0 / math.sqrt(2.0)
+    sides = [(A, brute_partner_dist(A, B, METRIC_CAP), wa, wb),
+             (B, brute_partner_dist(B, A, METRIC_CAP), wb, wa)]
+    vals = []
+    for t in np.asarray(nodes, dtype=float):
+        tn = float(np.linalg.norm(t))
+        worst = 0.0
+        for P, partner, w_own, w_other in sides:
+            kept = [(math.sqrt(float(np.sum((x - t) ** 2))), b)
+                    for x, b in zip(P, partner)]
+            kept = [(n, b) for n, b in kept
+                    if n <= max(0.0, w_own - tn) * (1 + 1e-9)]
+            worst = max(worst, brute_break_scale(
+                [n for n, _ in kept], [b for _, b in kept],
+                max(0.0, w_other - tn)))
+        vals.append(min(max(worst, tol), METRIC_CAP))
+    return np.array(vals)
 
-    def one_side(P, Q, w_other, a):
-        dom = min(1.0 / a, w_other - a)
-        for x in P:
-            if math.sqrt(float(np.sum(x * x))) > dom:
-                continue
-            if not np.any(np.sum((Q - x) ** 2, axis=1) <= a * a):
-                return False
-        return True
 
-    def covers(a):
-        return one_side(A, B, wb, a) and one_side(B, A, wa, a)
+def brute_covers(A, wa: float, B, wb: float, scales) -> list:
+    """The scale metric's covering predicate at each scale a of scales.
 
-    if covers(tol):
-        return tol
-    if not covers(cap):
-        return cap
-    lo, hi = tol, cap
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if covers(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    At scale a, every point of each set with norm at most
+    min(1/a, other window - a) has a point of the other set whose squared
+    distance is at most a*a.
+    """
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    d2 = np.sum((B[None, :, :] - A[:, None, :]) ** 2, axis=2)
+    sides = [(np.sqrt(np.sum(A ** 2, axis=1)), wb, d2.min(axis=1)),
+             (np.sqrt(np.sum(B ** 2, axis=1)), wa, d2.min(axis=0))]
+    out = []
+    for a in scales:
+        out.append(all(bool(np.all(best[norms <= min(1.0 / a, w_other - a)]
+                                   <= a * a))
+                       for norms, w_other, best in sides))
+    return out
 
 
 _MAX_CODES = 2**62

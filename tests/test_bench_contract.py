@@ -7,6 +7,11 @@
 found. This test resolves each span the same way, so a refactor that drops
 or renames a traced function fails here rather than in a traced benchmark
 run. It only reads ``perfbench/``.
+
+A span that exists but never runs also makes the traced ``verify_corpus``
+run incorrect. The last tests count calls, through the module attributes
+the tracer rebinds, to the scale-metric spans on the two operations of
+that workload: ``verify``'s pseudo-metric check and a small ``dtilde``.
 """
 
 import importlib
@@ -15,6 +20,7 @@ import inspect
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -62,3 +68,39 @@ def test_metric_span_is_a_traced_function(span):
     obj = vars(mod).get(name)
     assert not name.startswith("_")
     assert inspect.isfunction(obj) and obj.__module__ == mod.__name__
+
+
+def _count_calls(monkeypatch, targets) -> dict:
+    """Wrap each (owner, name) so that its calls are counted by name."""
+    counts = {name: 0 for _, name in targets}
+    for owner, name in targets:
+        original = getattr(owner, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    return counts
+
+
+def test_check_pseudometrics_runs_the_scale_metric_spans(monkeypatch):
+    verify = importlib.import_module("apkit.verify")
+    counts = _count_calls(monkeypatch, [
+        (verify, name)
+        for name in ("metric_d", "translate", "dbar", "dbar_c", "dbar_f")])
+    assert verify.check_pseudometrics(0).passed
+    assert all(counts.values()), counts
+
+
+def test_dtilde_runs_the_grid_probe_and_density_spans(monkeypatch):
+    ak = importlib.import_module("apkit")
+    grid_cls = importlib.import_module("apkit.gridindex").GridIndex
+    pseudometrics = importlib.import_module("apkit.pseudometrics")
+    counts = _count_calls(monkeypatch, [
+        (grid_cls, "any_within"), (grid_cls, "count_within"),
+        (pseudometrics, "upper_density")])
+    Z = ak.make_lattice(np.eye(2), 12.0)
+    thinned = ak.PointSet(Z.points[::2], Z.window_radius, Z.hardcore_radius)
+    assert ak.dtilde(Z, thinned, [6.0, 8.0, 10.0]) > 0.0
+    assert all(counts.values()), counts

@@ -137,7 +137,7 @@ def test_metric_d_shifted_lattice_equals_shift():
     Z = z_lattice(131.0)
     for s in (0.2, 0.1, 0.05):
         Zs = ak.translate(ak.make_lattice([[1.0]], 131.0 + s), [s])
-        assert ak.metric_d(Z, Zs, 1e-2) == pytest.approx(s, abs=1.1e-2)
+        assert ak.metric_d(Z, Zs, 1e-2) == pytest.approx(s, abs=1e-12)
 
 
 def test_metric_d_identical_reports_tol_floor():
@@ -175,11 +175,26 @@ def lattice_points(dim: int, window: float) -> np.ndarray:
     return pts[np.sqrt(np.sum(pts ** 2, axis=1)) <= window]
 
 
+def assert_predicate_flips(A: ak.PointSet, B: ak.PointSet, tol: float,
+                           value: float) -> None:
+    # the covering predicate fails below the value and holds above it, on a
+    # grid of [tol, CAP] and a few scales near the value, each at least
+    # 1e-9 away from it
+    near = value + np.array([-1e-3, -1e-6, -2e-9, 2e-9, 1e-6, 1e-3])
+    scales = np.concatenate([np.linspace(tol, CAP, 41), near])
+    scales = scales[(scales >= tol) & (scales <= CAP)
+                    & (np.abs(scales - value) >= 1e-9)]
+    assert oracles.brute_covers(A.points, A.window_radius, B.points,
+                                B.window_radius, scales) == (
+        scales > value).tolist()
+
+
 def assert_matches_brute(A: ak.PointSet, B: ak.PointSet, tol: float) -> float:
     got = ak.metric_d(A, B, tol)
     want = oracles.brute_metric_d(A.points, A.window_radius,
                                   B.points, B.window_radius, tol)
     assert got == want
+    assert_predicate_flips(A, B, tol, got)
     return got
 
 
@@ -206,30 +221,20 @@ def test_metric_d_matches_brute_on_translated_pairs(dim, seed, tol, jitter,
     assert_matches_brute(ak.translate(A, t), ak.translate(B, t), tol)
 
 
-def bisection_midpoint(tol: float, bits) -> float:
-    """Last midpoint the bisection visits when its verdicts follow bits."""
-    lo, hi = tol, CAP
-    for bit in bits:
-        mid = 0.5 * (lo + hi)
-        if bit:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= tol:
-            break
-    return mid
-
-
 @pytest.mark.parametrize("dim", [1, 2])
 @settings(max_examples=12, deadline=None)
-@given(bits=st.lists(st.booleans(), min_size=1, max_size=5),
-       tol=st.sampled_from([0.05, 0.1]),
+@given(tol=st.sampled_from([0.05, 0.1]),
+       m=st.floats(0.0, 1.0),
+       ulps=st.integers(-2, 2),
        on_second_side=st.booleans())
-def test_metric_d_neighbour_at_a_bisection_midpoint(dim, bits, tol,
-                                                    on_second_side):
-    # one point moves off the origin by exactly a midpoint the bisection
-    # visits, so the predicate there compares a*a with a*a
-    m = bisection_midpoint(tol, bits)
+def test_metric_d_neighbour_at_the_value(dim, tol, m, ulps, on_second_side):
+    # one point moves off the origin by m, a few ulps off a scale in
+    # [tol, CAP]; its partner distance sqrt(m*m) is m exactly, and so is
+    # the metric
+    m = tol + m * (CAP - tol)
+    for _ in range(abs(ulps)):
+        m = float(np.nextafter(m, math.copysign(math.inf, ulps)))
+    m = min(max(m, tol), CAP)
     W = 1.0 / tol + 1.0
     base = lattice_points(dim, W)
     moved = base.copy()
@@ -238,30 +243,28 @@ def test_metric_d_neighbour_at_a_bisection_midpoint(dim, bits, tol,
     B = ak.PointSet(moved, W, 0.25)
     if on_second_side:
         A, B = B, A
-    got = assert_matches_brute(A, B, tol)
-    assert m <= got <= m + tol
+    assert assert_matches_brute(A, B, tol) == m
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 @settings(max_examples=15, deadline=None)
 @given(tol=st.sampled_from([0.1, 0.125]),
-       bits=st.lists(st.booleans(), min_size=1, max_size=4),
+       m=st.floats(0.0, 1.0),
        at_window_edge=st.booleans(),
        ulps=st.integers(-2, 2),
        slack=st.floats(0.0, 0.25),
        shrink=st.sampled_from([0.0, 0.5, 1.0]))
-def test_metric_d_point_near_clipped_domain_edge(dim, tol, bits,
-                                                 at_window_edge, ulps, slack,
-                                                 shrink):
+def test_metric_d_point_near_clipped_domain_edge(dim, tol, m, at_window_edge,
+                                                 ulps, slack, shrink):
     # an unmatched point sits a few ulps from the domain radius
-    # min(1/a, W - a) at a scale the bisection visits; W is the window of
-    # the other set, and the point's own window may be smaller
+    # min(1/a, W - a) at a scale a in [tol, CAP]; W is the window of the
+    # other set, and the point's own window may be smaller
     W = 1.0 / tol + slack * tol
     W_own = W - shrink * slack * tol
     if at_window_edge:
         x = W - tol
     else:
-        x = 1.0 / bisection_midpoint(tol, bits)
+        x = 1.0 / (tol + m * (CAP - tol))
     for _ in range(abs(ulps)):
         x = float(np.nextafter(x, math.copysign(math.inf, ulps)))
     lone = np.zeros(dim)
@@ -274,10 +277,25 @@ def test_metric_d_point_near_clipped_domain_edge(dim, tol, bits,
     assert_matches_brute(B, A, tol)
 
 
+@pytest.mark.parametrize("ulps", [-2, -1, 0, 1, 2])
+def test_metric_d_partner_a_few_ulps_from_the_cap(ulps):
+    # the partner distance reads inf just beyond CAP and is finite at or
+    # below it; either way the metric is CAP up to one rounding
+    y = 1.0 + CAP
+    for _ in range(abs(ulps)):
+        y = float(np.nextafter(y, math.copysign(math.inf, ulps)))
+    A = ak.PointSet([[1.0]], 12.0, 0.5)
+    B = ak.PointSet([[y]], 12.0, 0.5)
+    got = pointset._partner_dist(A, B, CAP).tolist()
+    assert got == oracles.brute_partner_dist(A.points, B.points, CAP)
+    assert math.isinf(got[0]) == ((y - 1.0) ** 2 > CAP * CAP)
+    assert assert_matches_brute(A, B, 0.125) == pytest.approx(CAP, abs=1e-15)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_metric_d_matches_brute_on_unequal_shifts(dim):
-    # translates by different vectors, or a translate against an
-    # untranslated set, do not share parents' pairs
+    # translates by different vectors, and a translate against an
+    # untranslated set
     rng = np.random.Generator(np.random.Philox(key=11))
     base = lattice_points(dim, 11.5)
     A = ak.PointSet(base + rng.uniform(-0.15, 0.15, base.shape), 12.0, 0.35)
@@ -287,65 +305,6 @@ def test_metric_d_matches_brute_on_unequal_shifts(dim):
     assert_matches_brute(ak.translate(A, t1), ak.translate(B, t2), 0.125)
     assert_matches_brute(ak.translate(A, t1), B, 0.125)
     assert_matches_brute(A, ak.translate(B, t1), 0.125)
-
-
-@pytest.mark.parametrize("dim", [1, 2])
-def test_metric_d_pair_cache_follows_the_second_set(dim):
-    # the same first set against two different second sets, directly and
-    # through common translates, then back: no stale neighbour pairs
-    A = ak.PointSet(lattice_points(dim, 12.0), 12.0, 0.5)
-    B = ak.PointSet(lattice_points(dim, 11.0) + 0.05, 11.5, 0.5)
-    C = ak.PointSet(lattice_points(dim, 9.5) + 0.3, 10.0, 0.5)
-    t = np.full(dim, 0.4)
-    seen = set()
-    for other in (B, C, B):
-        seen.add(assert_matches_brute(A, other, 0.125))
-        assert_matches_brute(ak.translate(A, t), ak.translate(other, t), 0.125)
-    assert len(seen) == 2
-
-
-def brute_nearest_d2(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Least squared distance from each row of P to Q, inf beyond CAP."""
-    d2 = np.sum((Q[None, :, :] - P[:, None, :]) ** 2, axis=2)
-    d2[d2 > CAP * CAP] = np.inf
-    return d2.min(axis=1)
-
-
-def crossing_pair():
-    """(x, y, t) with (y - x)**2 > CAP**2 but ((y - t) - (x - t))**2 <= CAP**2.
-
-    Searches dyadic x, y a few ulps above x + CAP, and shifts t.
-    """
-    for i in range(1, 256):
-        x = 1.0 + i / 64.0
-        y = x + CAP
-        for _ in range(3):
-            y = float(np.nextafter(y, math.inf))
-            if (y - x) ** 2 <= CAP * CAP:
-                continue
-            for j in range(1, 128):
-                t = j / 16.0 + 0.1
-                if ((y - t) - (x - t)) ** 2 <= CAP * CAP:
-                    return x, y, t
-    return None
-
-
-def test_metric_d_pairs_that_reach_the_cap_only_after_translation():
-    # the pair is beyond CAP on the parents' coordinates, within it on the
-    # translated ones; the parents' pair query must still find it. Such a
-    # pair only moves the verdict at a = CAP, and metric_d returns CAP
-    # either way, so the per-point minima are compared instead of the value
-    hit = crossing_pair()
-    assert hit is not None
-    x, y, t = hit
-    A = ak.PointSet([[x]], 12.0, 0.5)
-    B = ak.PointSet([[y]], 12.0, 0.5)
-    At, Bt = ak.translate(A, [t]), ak.translate(B, [t])
-    (_, best_a), (_, best_b) = pointset._nearest_d2(At, Bt)
-    want = brute_nearest_d2(At.points, Bt.points)
-    assert np.isfinite(want).all()
-    assert best_a.tolist() == want.tolist()
-    assert best_b.tolist() == brute_nearest_d2(Bt.points, At.points).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -55,14 +55,6 @@ def test_mismatch_window_too_small():
         ak.asymmetric_mismatch(A, A, 2.0)
 
 
-def test_symmetric_mismatch_is_symmetric():
-    Z = z_lattice()
-    Zs = shifted_lattice(0.3)
-    m1 = ak.symmetric_mismatch(Z, Zs, 0.1)
-    m2 = ak.symmetric_mismatch(Zs, Z, 0.1)
-    assert len(m1) == len(m2)
-
-
 # ---------------------------------------------------------------------------
 # dbar
 
@@ -71,7 +63,7 @@ def test_dbar_shifted_lattice_tracks_shift():
     Z = z_lattice()
     for s in (0.2, 0.1, 0.05):
         assert ak.dbar(Z, shifted_lattice(s), RADII) == pytest.approx(
-            s, abs=0.01)
+            s, abs=1e-12)
 
 
 def test_dbar_identical_reports_tol_floor():
@@ -89,6 +81,18 @@ def test_dbar_symmetry():
     Z = z_lattice()
     Zs = shifted_lattice(0.15)
     assert ak.dbar(Z, Zs, RADII) == pytest.approx(ak.dbar(Zs, Z, RADII))
+
+
+def assert_density_predicate_flips(A, B, radii, tol, cap, value):
+    # dbar's defining predicate fails below the value and holds above it,
+    # on a grid of [tol, cap] and a few scales near the value, each at
+    # least 1e-9 away from it
+    w = min(A.window_radius, B.window_radius)
+    near = value + np.array([-1e-4, -2e-9, 2e-9, 1e-4])
+    for a in np.concatenate([np.linspace(tol, cap, 17), near]):
+        if tol <= a <= cap and abs(a - value) >= 1e-9:
+            assert oracles.brute_dbar_ok(A.points, B.points, w, radii,
+                                         a) == (a > value)
 
 
 @pytest.mark.parametrize("dim, window", [(1, 40.0), (2, 12.0)])
@@ -109,8 +113,9 @@ def test_dbar_matches_brute_bisection(dim, window):
             sets.append(ak.PointSet(pts, window, 0.3))
         A, B = sets
         value = ak.dbar(A, B, radii)
-        assert value == oracles.brute_dbar(A.points, B.points, window, 0.3,
-                                           radii, 1e-3 * 0.3)
+        assert value == oracles.brute_dbar(A.points, B.points, 0.3, radii,
+                                           1e-3 * 0.3)
+        assert_density_predicate_flips(A, B, radii, 1e-3 * 0.3, 0.15, value)
         got.append(value)
     assert got[0] == pytest.approx(3e-4) and got[1] == 0.15
     assert all(3e-4 < v < 0.15 for v in got[2:])
@@ -148,7 +153,7 @@ def test_dbar_c_shifted_lattice_tracks_shift():
     Z = z_lattice()
     for s in (0.2, 0.1):
         rep = ak.dbar_c(Z, shifted_lattice(s), 24.0)
-        assert rep.value == pytest.approx(s, abs=0.015)
+        assert rep.value == pytest.approx(s, abs=1e-12)
         assert rep.converged
 
 
@@ -159,6 +164,13 @@ def test_dbar_c_report_fields():
     assert len(doc["radii"]) == len(doc["per_radius"])
 
 
+def test_dbar_c_tol_out_of_range_is_invalid_argument():
+    Z = z_lattice()
+    for tol in (0.0, -0.1, 0.75):
+        with pytest.raises(ak.InvalidArgument):
+            ak.dbar_c(Z, Z, 24.0, tol=tol)
+
+
 def test_dbar_c_window_too_small():
     Z = ak.make_lattice([[1.0]], 50.0)
     with pytest.raises(ak.WindowTooSmall):
@@ -166,8 +178,7 @@ def test_dbar_c_window_too_small():
 
 
 def test_dbar_c_2d_shifted_lattice_tracks_shift():
-    # every translate of the pair Z^2, Z^2 - s is covered exactly at |s|,
-    # so each node's metric_d lies in [|s|, |s| + tol]
+    # every translate of the pair Z^2, Z^2 - s is covered exactly at |s|
     s = np.array([0.1, 0.05])
     basis = [[1.0, 0.0], [0.0, 1.0]]
     R, tol = 3.0, 0.1
@@ -176,43 +187,79 @@ def test_dbar_c_2d_shifted_lattice_tracks_shift():
     Zs = ak.translate(ak.make_lattice(basis, W + float(np.linalg.norm(s))), s)
     rep = ak.dbar_c(Z, Zs, R, quad_points=8, tol=tol)
     shift = float(np.linalg.norm(s))
-    assert np.all(rep.per_radius >= shift)
-    assert np.all(rep.per_radius <= shift + tol)
+    assert rep.per_radius == pytest.approx(shift, abs=1e-12)
     assert rep.converged
     assert rep.pitch == pytest.approx(2.0 * R / 8)
+
+
+def jittered_lattice(dim: int, reach: float, window: float, jitter: float,
+                     rng) -> ak.PointSet:
+    k = int(reach) + 1
+    axes = [np.arange(-k, k + 1, dtype=float)] * dim
+    base = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, dim)
+    base = base[np.sqrt(np.sum(base ** 2, axis=1)) <= reach]
+    return ak.PointSet(base + rng.uniform(-jitter, jitter, base.shape),
+                       window, 0.35)
+
+
+def assert_dbar_c_matches_brute(A, B, R, quad_points, tol):
+    # per_radius equals the running means of the brute-force metric at each
+    # node, with partner distances read on the untranslated sets, and each
+    # node's value is the covering threshold of the translates: the
+    # predicate fails below it and holds above it
+    rep = ak.dbar_c(A, B, R, quad_points=quad_points, tol=tol)
+    nodes, _ = pseudometrics._midpoint_grid(R, A.dim, quad_points)
+    vals = oracles.brute_dbar_c_nodes(A.points, A.window_radius, B.points,
+                                      B.window_radius, nodes, tol)
+    assert len(set(vals.tolist())) > 1
+    norms = np.sqrt(np.sum(nodes ** 2, axis=1))
+    want = [float(np.mean(vals[norms <= rr])) for rr in rep.radius_schedule]
+    assert rep.per_radius.tolist() == want
+    cap = 1.0 / np.sqrt(2.0)
+    for t, value in zip(nodes, vals):
+        At, Bt = ak.translate(A, t), ak.translate(B, t)
+        scales = np.concatenate([np.linspace(tol, cap, 17),
+                                 value + np.array([-1e-6, -2e-9, 2e-9, 1e-6])])
+        scales = scales[(scales >= tol) & (scales <= cap)
+                        & (np.abs(scales - value) >= 1e-9)]
+        assert oracles.brute_covers(At.points, At.window_radius, Bt.points,
+                                    Bt.window_radius, scales) == (
+            scales > value).tolist()
 
 
 @pytest.mark.parametrize("dim, quad_points", [(1, 9), (2, 5)])
 @pytest.mark.parametrize("pre_shift", [None, 0.37])
 def test_dbar_c_matches_brute_metric_d_at_every_node(dim, quad_points,
                                                      pre_shift):
-    # per_radius equals the running means of the brute-force metric at each
-    # node's translates; with pre_shift the inputs are themselves
-    # translates, so every node compares translates of translates
+    # with pre_shift the inputs are themselves translates, so every node
+    # compares translates of translates
     rng = np.random.Generator(np.random.Philox(key=dim))
     R, tol = 1.5, 0.125
     W = R + 1.0 / tol + 1.0
-    k = int(W) + 1
-    axes = [np.arange(-k, k + 1, dtype=float)] * dim
-    base = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, dim)
-    base = base[np.sqrt(np.sum(base ** 2, axis=1)) <= W - 0.5]
-    A = ak.PointSet(base + rng.uniform(-0.15, 0.15, base.shape), W, 0.35)
-    B = ak.PointSet(base + rng.uniform(-0.3, 0.3, base.shape), W, 0.35)
+    A = jittered_lattice(dim, W - 0.5, W, 0.15, rng)
+    B = jittered_lattice(dim, W - 0.5, W, 0.3, rng)
     if pre_shift is not None:
         s = np.full(dim, pre_shift / np.sqrt(dim))
         A, B = ak.translate(A, s), ak.translate(B, s)
-    rep = ak.dbar_c(A, B, R, quad_points=quad_points, tol=tol)
-    nodes, _ = pseudometrics._midpoint_grid(R, dim, quad_points)
-    vals = []
-    for t in nodes:
-        At, Bt = ak.translate(A, t), ak.translate(B, t)
-        vals.append(oracles.brute_metric_d(At.points, At.window_radius,
-                                           Bt.points, Bt.window_radius, tol))
-    vals = np.array(vals)
-    assert len(set(vals.tolist())) > 1
-    norms = np.sqrt(np.sum(nodes ** 2, axis=1))
-    want = [float(np.mean(vals[norms <= rr])) for rr in rep.radius_schedule]
-    assert rep.per_radius.tolist() == want
+    assert_dbar_c_matches_brute(A, B, R, quad_points, tol)
+
+
+@pytest.mark.parametrize("dim, quad_points", [(1, 9), (2, 5)])
+def test_dbar_c_reads_the_other_window_at_each_node(dim, quad_points):
+    # at tol 0.5 the second set's window W' shrinks to 1/tol at the rim of
+    # the node ball; the second set lacks the first set's point near e_1,
+    # which at a node t breaks scales up to (W' - |t|) - |x - t| where that
+    # is below 1/|x - t|
+    rng = np.random.Generator(np.random.Philox(key=dim + 10))
+    R, tol = 1.0, 0.5
+    A = jittered_lattice(dim, 5.5, 6.0, 0.1, rng)
+    W2 = R + 1.0 / tol
+    e1 = np.zeros(dim)
+    e1[0] = 1.0
+    lone = np.sqrt(np.sum((A.points - e1) ** 2, axis=1)) < 0.5
+    B = ak.PointSet(A.points[(A.norms() <= W2 - 0.5) & ~lone], W2, 0.35)
+    assert_dbar_c_matches_brute(A, B, R, quad_points, tol)
+    assert_dbar_c_matches_brute(B, A, R, quad_points, tol)
 
 
 # ---------------------------------------------------------------------------

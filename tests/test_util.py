@@ -10,7 +10,6 @@ import pytest
 import apkit as ak
 from apkit.util import (
     Record,
-    bisect_threshold,
     schedule,
     tail,
     tail_converged,
@@ -65,26 +64,6 @@ def test_schedule_sorts_to_floats():
     got = schedule([30, 10.0, 20])
     assert got.dtype == float
     assert got.tolist() == [10.0, 20.0, 30.0]
-
-
-@pytest.mark.parametrize("threshold", [0.0, 0.01, 0.3, 0.37, 0.5, 0.9])
-def test_bisect_threshold_brackets_the_threshold(threshold):
-    seen = []
-
-    def ok(a):
-        seen.append(a)
-        return a >= threshold
-
-    got = bisect_threshold(ok, 0.01, 0.5, 0.01)
-    assert seen[0] == 0.01
-    if threshold <= 0.01:
-        assert got == 0.01 and len(seen) == 1
-    elif threshold > 0.5:
-        assert got == 0.5 and len(seen) == 2
-    else:
-        # a scale where ok holds, within tol above the threshold
-        assert threshold <= got <= threshold + 0.01
-        assert got in seen
 
 
 def record_instances() -> dict:
