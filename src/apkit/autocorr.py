@@ -37,6 +37,9 @@ from .pointset import (
 from .testfunc import TestFunction
 from .util import fmt_float, schedule, tail_converged
 
+#: PairDifferences ranks a ball's points in int32
+_MAX_RANKED = 2**31
+
 
 def _group_by_cell(locations: np.ndarray, cell: float):
     """Group label of each row by its floor-quantized cell, and the count.
@@ -48,9 +51,11 @@ def _group_by_cell(locations: np.ndarray, cell: float):
     codes = _cell_codes(locations, cell, "bin_tol")[0]
     order = np.argsort(codes)
     codes = codes[order]
-    sorted_gid = np.zeros(len(order), dtype=np.int64)
-    np.cumsum(codes[1:] != codes[:-1], out=sorted_gid[1:])
+    new_cell = codes[1:] != codes[:-1]
     del codes
+    sorted_gid = np.zeros(len(order), dtype=np.int64)
+    np.cumsum(new_cell, out=sorted_gid[1:])
+    del new_cell
     gid = np.empty_like(sorted_gid)
     gid[order] = sorted_gid
     return gid, int(sorted_gid[-1]) + 1
@@ -212,11 +217,23 @@ def evaluate(mu: WeightedAtomMeasure, f: TestFunction) -> float:
 class PairDifferences:
     """The ordered pairs of S within the closed R-ball, enumerated once.
 
-    Holds the points P = ``S.ball(R)``, the pairs (qi, pi) of P at distance
-    <= diff_cutoff, and their differences P[pi] - P[qi]. ``at(r)`` gives the
-    differences of the pairs within a radius r <= R, and ``cells_at(r,
-    bin_tol)`` gives them with their bin_tol cell labels, so a schedule
-    enumerates its pairs and quantizes their differences once.
+    Holds the points P = ``S.ball(R)`` and the differences P[pi] - P[qi] of
+    the pairs (qi, pi) of P at distance <= diff_cutoff, in ``pairs_within``'s
+    order. ``at(r)`` gives the differences of the pairs within a radius
+    r <= R, and ``cells_at(r, bin_tol)`` gives them with their bin_tol cell
+    labels, so a schedule enumerates its pairs and quantizes their
+    differences once. Per pair it keeps only its difference and one int32,
+    the larger of its two ends' ranks in norm order: a schedule holds
+    n_pairs * (8 * dim + 4) bytes plus one label array per bin_tol.
+
+    Why ``diffs`` is ``P[pi] - P[qi]`` bit for bit: the grid walk
+    (``GridIndex._blocks``) yields each block's ``points[prows] -
+    queries[qrows]``, the very floats whose squared sum it tests; with
+    queries = points = P these are P[pi] - P[qi]. Blocks split only between
+    query runs and come in walk order, so their kept rows, written one
+    after another, are ``pairs_within``'s rows in its order. They are
+    written into arrays sized by the walk's candidate count, so no list of
+    blocks and no concatenated copy ever coexist with the result.
 
     Why ``at(r)`` equals a fresh enumeration at r, row for row and bit for
     bit: it keeps the points of P by S's cached norms and the ball rule, so
@@ -230,7 +247,10 @@ class PairDifferences:
     points in index order, and computes the same d2 from the same
     coordinates. So the rows whose two ends both lie in the r-ball come out
     in exactly the order, and with exactly the floats, of the enumeration
-    at r.
+    at r. ``_in_ball`` is monotone in the norm, so the points of P in the
+    r-ball are the first m in norm order, m = count_nonzero(_in_ball(sorted
+    norms, r)), and a pair has both ends there exactly when its larger rank
+    is below m.
 
     Why the labels of ``cells_at(r, bin_tol)`` equal ``bin_atoms``' own on
     ``at(r)``: the differences at R are labelled once per bin_tol, and a
@@ -255,19 +275,32 @@ class PairDifferences:
         self.R = float(R)
         self.diff_cutoff = float(diff_cutoff)
         self.P = S.ball(R)
-        # the cached norms that chose P, so at(r) applies S.ball's own rule
-        self._norms = S.norms()[_in_ball(S.norms(), R)]
-        if len(self.P):
-            grid = GridIndex(self.P, max(diff_cutoff, S.hardcore_radius))
-            self.qi, self.pi = grid.pairs_within(self.P, diff_cutoff)
-        else:
-            self.qi = self.pi = np.empty(0, dtype=np.int64)
-        self.diffs = self.P[self.pi] - self.P[self.qi]
+        n = len(self.P)
+        if n >= _MAX_RANKED:
+            raise InvalidArgument(
+                f"{n} points in the R-ball; pair ranks hold fewer than {_MAX_RANKED}")
+        # the cached norms that chose P, sorted, so _inside applies S.ball's rule
+        norms = S.norms()[_in_ball(S.norms(), R)]
+        by_norm = np.argsort(norms, kind="stable")
+        self._sorted_norms = norms[by_norm]
+        rank = np.empty(n, dtype=np.int32)
+        rank[by_norm] = np.arange(n, dtype=np.int32)
+        grid = GridIndex(self.P, max(diff_cutoff, S.hardcore_radius))
+        # pages past the last pair are never written, so never resident
+        cap = grid._candidates(self.P, diff_cutoff)
+        diffs = np.empty((cap, S.dim))
+        reach = np.empty(cap, dtype=np.int32)
+        count = 0
+        for qrows, prows, diff, keep in grid._blocks(self.P, diff_cutoff):
+            end = count + int(np.count_nonzero(keep))
+            diffs[count:end] = diff[keep]
+            reach[count:end] = np.maximum(rank[qrows[keep]], rank[prows[keep]])
+            count = end
+        self.diffs, self._reach = diffs[:count], reach[:count]
         self._labels: dict[float, tuple[np.ndarray, int]] = {}
 
     def _inside(self, r: float) -> np.ndarray:
-        inside = _in_ball(self._norms, r)
-        return inside[self.qi] & inside[self.pi]
+        return self._reach < np.count_nonzero(_in_ball(self._sorted_norms, r))
 
     def at(self, r: float) -> np.ndarray:
         """Differences of the pairs with both ends in the closed r-ball.
@@ -336,7 +369,9 @@ def finite_autocorrelation(S: PointSet, R: float, bin_tol: float | None = None,
     if len(diffs) == 0:
         return WeightedAtomMeasure(S.dim, np.empty((0, S.dim)), np.empty(0),
                                    bin_tol, validate=False)
-    locs, wts = bin_atoms(diffs, np.ones(len(diffs)), bin_tol, labels=labels)
+    # unit weights as a read-only broadcast view, not an n_pairs array
+    locs, wts = bin_atoms(diffs, np.broadcast_to(1.0, len(diffs)), bin_tol,
+                          labels=labels)
     return WeightedAtomMeasure(S.dim, locs, wts / ball_volume(S.dim, R),
                                bin_tol, validate=False)
 

@@ -3,7 +3,9 @@
 Points are bucketed once into hypercube cells of a fixed edge length; cell
 codes are sorted so each query resolves its candidate buckets with two binary
 searches. All query methods are vectorized over query batches and use closed
-Euclidean balls. The cell size is a tuning knob: pick it near the query
+Euclidean balls. Pair queries walk their candidates in blocks of at most
+``_PAIR_BLOCK`` (``_blocks``), so a walk's working set does not grow with
+its pair count. The cell size is a tuning knob: pick it near the query
 radius so each lookup touches a bounded number of neighbor cells.
 
 ``nn_d2`` is the one nearest-distance search: every "how far is the nearest
@@ -21,6 +23,9 @@ import numpy as np
 from .errors import InvalidArgument
 
 _MAX_CODES = 2**62
+
+#: largest number of candidate pairs in one block of the pair walk
+_PAIR_BLOCK = 1 << 18
 
 
 def _cell_codes(points: np.ndarray, cell: float, knob: str):
@@ -49,7 +54,9 @@ def _cell_codes(points: np.ndarray, cell: float, knob: str):
         raise InvalidArgument(f"{knob} too fine for the coordinate extent")
     codes = np.zeros(len(points), dtype=np.int64)
     for c, m, s in zip(cols, lo, steps):
-        part = np.floor(c / cell).astype(np.int64)
+        part = c / cell
+        np.floor(part, out=part)
+        part = part.astype(np.int64)
         part -= m
         part *= s
         codes += part
@@ -80,48 +87,77 @@ class GridIndex:
         self._order = np.argsort(codes, kind="stable")
         self._codes = codes[self._order]
 
-    def _bucket(self, qcells: np.ndarray):
-        """Candidate (query_row, point_row) pairs for exact cell coords."""
-        if self._order.size == 0:
-            e = np.empty(0, dtype=np.int64)
-            return e, e
+    def _runs(self, qcells: np.ndarray):
+        """The run of sorted points in each query's cell (exact cell coords).
+
+        Returns (rows, left, lens): the query rows whose cell lies in the
+        grid's extent, in order, and the [left, left + lens) run of ``_order``
+        holding that cell's points (lens may be 0).
+        """
         valid = np.all((qcells >= self._mins) & (qcells < self._mins + self._extents),
                        axis=1)
-        vrows = np.nonzero(valid)[0]
-        if vrows.size == 0:
-            e = np.empty(0, dtype=np.int64)
-            return e, e
-        codes = (qcells[vrows] - self._mins) @ self._strides
+        rows = np.nonzero(valid)[0]
+        codes = (qcells[rows] - self._mins) @ self._strides
         left = np.searchsorted(self._codes, codes, side="left")
-        right = np.searchsorted(self._codes, codes, side="right")
-        lens = right - left
-        total = int(lens.sum())
-        if total == 0:
-            e = np.empty(0, dtype=np.int64)
-            return e, e
-        # flat[i] walks each [left, right) run in sequence
-        starts = np.repeat(left, lens)
-        offsets = np.arange(total) - np.repeat(np.cumsum(lens) - lens, lens)
-        prows = self._order[starts + offsets]
-        qrows = np.repeat(vrows, lens)
-        return qrows, prows
+        lens = np.searchsorted(self._codes, codes, side="right") - left
+        return rows, left, lens
+
+    def _expand(self, rows, left, lens):
+        """(query_row, point_row) for each point of each run, runs in order."""
+        # flat[i] walks each [left, left + lens) run in sequence
+        flat = np.repeat(left - (np.cumsum(lens) - lens), lens)
+        flat += np.arange(flat.size)
+        return np.repeat(rows, lens), self._order[flat]
 
     def _offsets(self, radius: float):
         k = int(np.ceil(radius / self.cell))
         return itertools.product(range(-k, k + 1), repeat=self.dim)
 
+    def _blocks(self, queries: np.ndarray, radius: float):
+        """The pair walk within radius, in blocks of (qrows, prows, diff, keep).
+
+        Cell offsets outermost, then query rows in order, each with its
+        cell's points in index order; a block holds whole runs and at most
+        _PAIR_BLOCK candidates, unless one run alone is longer. ``diff`` is
+        ``points[prows] - queries[qrows]`` and ``keep`` marks the rows whose
+        squared sum is <= radius**2. ``queries`` is an (M, dim) float array.
+        """
+        if self._order.size == 0:
+            return
+        qcells = np.floor(queries / self.cell).astype(np.int64)
+        r2 = radius * radius
+        for off in self._offsets(radius):
+            rows, left, lens = self._runs(qcells + np.asarray(off, dtype=np.int64))
+            ends = np.cumsum(lens)
+            if ends.size == 0 or ends[-1] == 0:
+                continue
+            a = 0
+            while a < ends.size:
+                base = ends[a - 1] if a else 0
+                if ends[-1] - base <= _PAIR_BLOCK:
+                    b = ends.size
+                else:
+                    b = int(np.searchsorted(ends, base + _PAIR_BLOCK, side="right"))
+                    b = max(b, a + 1)   # one run longer than a block
+                qrows, prows = self._expand(rows[a:b], left[a:b], lens[a:b])
+                diff = self.points[prows] - queries[qrows]
+                keep = np.sum(diff ** 2, axis=1) <= r2
+                yield qrows, prows, diff, keep
+                a = b
+
+    def _candidates(self, queries: np.ndarray, radius: float) -> int:
+        """How many candidates ``_blocks(queries, radius)`` tests."""
+        if self._order.size == 0:
+            return 0
+        qcells = np.floor(queries / self.cell).astype(np.int64)
+        return sum(int(self._runs(qcells + np.asarray(off, dtype=np.int64))[2].sum())
+                   for off in self._offsets(radius))
+
     def pairs_within(self, queries: np.ndarray, radius: float):
         """All (query_row, point_row) with Euclidean distance <= radius."""
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
-        qcells = np.floor(queries / self.cell).astype(np.int64)
         out_q, out_p = [], []
-        r2 = radius * radius
-        for off in self._offsets(radius):
-            qrows, prows = self._bucket(qcells + np.asarray(off, dtype=np.int64))
-            if qrows.size == 0:
-                continue
-            d2 = np.sum((self.points[prows] - queries[qrows]) ** 2, axis=1)
-            keep = d2 <= r2
+        for qrows, prows, _, keep in self._blocks(queries, radius):
             out_q.append(qrows[keep])
             out_p.append(prows[keep])
         if not out_q:
@@ -169,8 +205,9 @@ class GridIndex:
             for off in itertools.product(range(-k, k + 1), repeat=self.dim):
                 if max(abs(o) for o in off) != k:
                     continue
-                qrows, prows = self._bucket(qcells[pending] + np.asarray(off, dtype=np.int64))
-                qrows = pending[qrows]
+                rows, left, lens = self._runs(
+                    qcells[pending] + np.asarray(off, dtype=np.int64))
+                qrows, prows = self._expand(pending[rows], left, lens)
                 if exclude_self:
                     other = qrows != prows
                     qrows, prows = qrows[other], prows[other]

@@ -197,17 +197,15 @@ def check_pseudometrics(seed: int = 0) -> CheckResult:
         A, B = pool[i], pool[j]
         t = float(rng.uniform(-0.5, 0.5))
         At, Bt = translate(A, [t]), translate(B, [t])
-        r = min(A.hardcore_radius, B.hardcore_radius)
-        tol_b = 1e-3 * r
         d1 = dbar(A, B, radii)
         d2 = dbar(At, Bt, radii)
         c1 = dbar_c(A, B, R_c).value
         c2 = dbar_c(At, Bt, R_c).value
         f1 = dbar_f(A, B, f, radii).value
         f2 = dbar_f(At, Bt, f, radii).value
-        # counting-window shift at the schedule scale plus solver tolerance
-        lim_b = abs(t) * 2.5 / radii[0] + 2 * tol_b + 0.01
-        lim_c = 0.71 * abs(t) / R_c + 2 * 1e-2 + 0.01
+        # counting-window shift at the schedule scale
+        lim_b = abs(t) * 2.5 / radii[0] + 0.01
+        lim_c = 0.71 * abs(t) / R_c + 0.01
         lim_f = abs(t) * 2.0 / (2 * radii[0]) + 0.01
         shifts.append({"pair": [i, j], "t": t,
                        "dbar": [d1, d2], "dbar_c": [c1, c2],
@@ -223,7 +221,6 @@ def check_pseudometrics(seed: int = 0) -> CheckResult:
         idx = [int(v) for v in rng.integers(len(pool), size=3)]
         A, B, C = (pool[i] for i in idx)
         r = min(S.hardcore_radius for S in (A, B, C))
-        tol_b = 1e-3 * r
         shell = 2.5 * (r / 2.0) / radii[0]
         d12, d23, d13 = (dbar(A, B, radii), dbar(B, C, radii),
                          dbar(A, C, radii))
@@ -232,8 +229,8 @@ def check_pseudometrics(seed: int = 0) -> CheckResult:
         g12, g23, g13 = (dbar_f(A, B, f, radii).value,
                          dbar_f(B, C, f, radii).value,
                          dbar_f(A, C, f, radii).value)
-        rows_ok = (d13 <= d12 + d23 + 2 * tol_b + shell
-                   and c13 <= c12 + c23 + 2 * 1e-2 + 0.02
+        rows_ok = (d13 <= d12 + d23 + shell
+                   and c13 <= c12 + c23 + 0.02
                    and g13 <= g12 + g23 + 1e-9)
         viol = max(viol, d13 - d12 - d23, c13 - c12 - c23, g13 - g12 - g23)
         triples.append({"sets": idx, "ok": rows_ok})

@@ -5,6 +5,7 @@ grids) and shares no code with the package under test. Tests compute
 expected values through these and compare the library against them.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -400,3 +401,58 @@ def ref_group_by_cell(locations, cell: float):
     gid = np.empty(len(order), dtype=np.int64)
     gid[order] = sorted_gid
     return gid, int(sorted_gid[-1]) + 1
+
+
+#: the relative slack of the library's closed-ball rule
+_BALL_SLACK = 1e-9
+
+
+def ref_pairs_within(points, cell: float, queries, radius: float):
+    """(query_row, point_row) pairs within radius, enumerated in one shot.
+
+    The reference for ``GridIndex.pairs_within``: the points sorted stably
+    by their ``ref_cell_codes``, then for each cell offset every query row
+    in order with its offset cell's points in sorted order, all candidates
+    of an offset expanded at once and tested by their squared distance.
+    """
+    points = np.asarray(points, dtype=float)
+    queries = np.asarray(queries, dtype=float)
+    e = np.empty(0, dtype=np.int64)
+    if len(points) == 0:
+        return e, e
+    codes, mins, extents, strides = ref_cell_codes(points, cell, "cell_size")
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    qcells = np.floor(queries / cell).astype(np.int64)
+    k = int(np.ceil(radius / cell))
+    out_q, out_p = [e], [e]
+    for off in itertools.product(range(-k, k + 1), repeat=points.shape[1]):
+        cells = qcells + np.asarray(off, dtype=np.int64)
+        rows = np.nonzero(np.all((cells >= mins) & (cells < mins + extents),
+                                 axis=1))[0]
+        want = (cells[rows] - mins) @ strides
+        left = np.searchsorted(codes, want, side="left")
+        right = np.searchsorted(codes, want, side="right")
+        qrows = np.repeat(rows, right - left)
+        prows = order[np.concatenate(
+            [np.arange(a, b) for a, b in zip(left, right)] + [e])]
+        d2 = np.sum((points[prows] - queries[qrows]) ** 2, axis=1)
+        out_q.append(qrows[d2 <= radius * radius])
+        out_p.append(prows[d2 <= radius * radius])
+    return np.concatenate(out_q), np.concatenate(out_p)
+
+
+def ref_pair_differences(S, R: float, cutoff: float, r: float):
+    """The pairs of ``S.ball(R)`` within cutoff, enumerated in one shot.
+
+    Returns (qi, pi, P[pi] - P[qi], inside[qi] & inside[pi]) where inside
+    marks the points of P in the closed r-ball by S's cached norms and the
+    library's closed-ball slack, so the last is the mask of the pairs with
+    both ends in ``S.ball(r)``.
+    """
+    norms = S.norms()
+    in_R = norms <= R * (1.0 + _BALL_SLACK)
+    P = S.points[in_R]
+    qi, pi = ref_pairs_within(P, max(cutoff, S.hardcore_radius), P, cutoff)
+    inside = norms[in_R] <= r * (1.0 + _BALL_SLACK)
+    return qi, pi, P[pi] - P[qi], inside[qi] & inside[pi]

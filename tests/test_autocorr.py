@@ -361,17 +361,99 @@ def test_one_pairs_object_serves_two_bin_tols():
 
 
 def test_limit_enumerates_pairs_once(monkeypatch):
+    # PairDifferences walks the grid's blocks itself, so the walk is counted
     S = octagonal_points()
     calls = []
-    original = GridIndex.pairs_within
+    original = GridIndex._blocks
 
     def counting(self, queries, radius):
         calls.append(radius)
         return original(self, queries, radius)
 
-    monkeypatch.setattr(GridIndex, "pairs_within", counting)
+    monkeypatch.setattr(GridIndex, "_blocks", counting)
     ak.autocorrelation_limit(S, [6.0, 9.0, 12.0], diff_cutoff=3.5)
     assert calls.count(3.5) == 1
+
+
+def matern_points_1d() -> ak.PointSet:
+    p = ak.ProcessSampler("matern_II", 0, 30.0, intensity=1.0, hardcore=0.3,
+                          dim=1)
+    return ak.sample(p, 1)
+
+
+def one_point() -> ak.PointSet:
+    return ak.PointSet(np.array([[0.25, -0.5]]), 10.0, 1.0)
+
+
+def empty_ball() -> ak.PointSet:
+    return ak.PointSet(np.array([[3.0, 4.0], [-4.0, 3.0]]), 10.0, 1.0)
+
+
+@pytest.mark.parametrize("make, R, cutoff, radii", [
+    (matern_points_1d, 25.0, 4.0, [2.0, 11.0, 25.0]),
+    (matern_points_2d, 12.0, 3.0, [0.1, 6.0, 9.0, 12.0]),
+    (octagonal_points, 12.0, 3.5, [5.0, 12.0]),
+    (one_point, 1.0, 2.0, [0.5, 1.0]),
+    (empty_ball, 4.0, 2.0, [4.0]),
+])
+@pytest.mark.parametrize("bin_tol", [1e-4, 0.05])
+def test_pairs_match_one_shot_reference(pair_block, make, R, cutoff, radii,
+                                        bin_tol):
+    S = make()
+    pairs = ak.PairDifferences(S, R, cutoff)
+    for r in radii:
+        _, _, diffs, keep = oracles.ref_pair_differences(S, R, cutoff, r)
+        assert np.array_equal(pairs.at(r), diffs[keep])
+        got, (gid, n) = pairs.cells_at(r, bin_tol)
+        assert np.array_equal(got, diffs[keep])
+        if len(got):
+            want = oracles.ref_group_by_cell(diffs[keep], bin_tol)
+            assert np.array_equal(gid, want[0]) and n == want[1]
+        else:
+            assert len(gid) == 0 and n == 0
+
+
+def one_shot_measure(S, R, bin_tol, cutoff):
+    """The measure at R from the one-shot pairs and the reference labels."""
+    _, _, diffs, keep = oracles.ref_pair_differences(S, R, cutoff, R)
+    diffs = diffs[keep]
+    locs, wts = ak.bin_atoms(diffs, np.ones(len(diffs)), bin_tol,
+                             labels=oracles.ref_group_by_cell(diffs, bin_tol))
+    return ak.WeightedAtomMeasure(S.dim, locs, wts / ak.ball_volume(S.dim, R),
+                                  bin_tol, validate=False)
+
+
+@pytest.mark.parametrize("make, radii, cutoff", [
+    (matern_points_1d, [6.0, 15.0, 25.0], 4.0),
+    (matern_points_2d, [6.0, 9.0, 12.0], 3.0),
+])
+def test_limit_measures_match_one_shot_reference(monkeypatch, pair_block, make,
+                                                 radii, cutoff):
+    S = make()
+    tol = S.hardcore_radius * 1e-3
+    seen = []
+    original = autocorr.finite_autocorrelation
+
+    def recording(S, R, *args, **kwargs):
+        mu = original(S, R, *args, **kwargs)
+        seen.append(mu)
+        return mu
+
+    monkeypatch.setattr(autocorr, "finite_autocorrelation", recording)
+    est = ak.autocorrelation_limit(S, radii, diff_cutoff=cutoff)
+    assert len(seen) == len(radii)
+    for R, mu in zip(radii, seen):
+        assert_same_measure(mu, one_shot_measure(S, R, tol, cutoff))
+    assert_same_measure(est.measure, seen[-1])
+
+
+def test_pairs_refuse_a_ball_too_large_for_int32_ranks(monkeypatch):
+    S = matern_points_2d()
+    monkeypatch.setattr(autocorr, "_MAX_RANKED", 10)
+    with pytest.raises(ak.InvalidArgument, match="fewer than 10"):
+        ak.PairDifferences(S, 12.0, 3.0)
+    assert len(S.ball(0.5)) < 10
+    ak.PairDifferences(S, 0.5, 3.0)
 
 
 def test_pairs_for_a_single_radius_are_not_copied():

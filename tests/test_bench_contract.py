@@ -8,16 +8,20 @@ found. This test resolves each span the same way, so a refactor that drops
 or renames a traced function fails here rather than in a traced benchmark
 run. It only reads ``perfbench/``.
 
-A span that exists but never runs also makes the traced ``verify_corpus``
-run incorrect. The last tests count calls, through the module attributes
-the tracer rebinds, to the scale-metric spans on the two operations of
-that workload: ``verify``'s pseudo-metric check and a small ``dtilde``.
+A span that exists but never runs also makes a traced run incorrect. The
+last tests count calls, through the module attributes the tracer rebinds,
+to the scale-metric spans on the two operations of ``verify_corpus``
+(``verify``'s pseudo-metric check and a small ``dtilde``), and to every
+span that ``octagonal_2d`` does not exempt, on a small 2D model set taken
+through the same three commands.
 """
 
 import importlib
 import importlib.util
 import inspect
 import json
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +40,7 @@ def _load(name: str):
 
 tracer = _load("tracer")
 run = _load("run")
+workloads = _load("workloads")
 
 
 def _metric_spans() -> list[str]:
@@ -104,3 +109,71 @@ def test_dtilde_runs_the_grid_probe_and_density_spans(monkeypatch):
     thinned = ak.PointSet(Z.points[::2], Z.window_radius, Z.hardcore_radius)
     assert ak.dtilde(Z, thinned, [6.0, 8.0, 10.0]) > 0.0
     assert all(counts.values()), counts
+
+
+def _count_spans(monkeypatch, spans) -> dict:
+    """Count calls per span, rebinding every reference as the tracer does."""
+    counts = dict.fromkeys(spans, 0)
+    grid_cls = importlib.import_module("apkit.gridindex").GridIndex
+    methods = {v: k for k, v in tracer.GRID_RENAMED.items()}
+    wrapped = {}
+    for span in spans:
+        module, name = span.split(".", 1)
+        method = methods.get(name, name)
+        owner = (grid_cls if module == "gridindex" and method in vars(grid_cls)
+                 else importlib.import_module(f"apkit.{module}"))
+        original = vars(owner)[method if owner is grid_cls else name]
+
+        def counting(*args, _span=span, _original=original, **kwargs):
+            counts[_span] += 1
+            return _original(*args, **kwargs)
+
+        if owner is grid_cls:
+            monkeypatch.setattr(grid_cls, method, counting)
+        else:
+            wrapped[id(original)] = (original, counting)
+    for modname, mod in list(sys.modules.items()):
+        if modname != "apkit" and not modname.startswith("apkit."):
+            continue
+        for ns in [vars(mod)] + [v for v in vars(mod).values()
+                                 if isinstance(v, dict)]:
+            for key, val in list(ns.items()):
+                hit = wrapped.get(id(val))
+                if hit is not None and hit[0] is val:
+                    monkeypatch.setitem(ns, key, hit[1])
+    return counts
+
+
+def _write_json(path: Path, doc: dict) -> str:
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_octagonal_commands_run_every_unexempt_span(monkeypatch, tmp_path):
+    # PairDifferences walks the grid itself, so pairs_within must still be
+    # reached elsewhere (bin_atoms' merge loop, the tracked atoms)
+    cli = importlib.import_module("apkit.cli")
+    layers = json.loads((PERFBENCH / "layers.json").read_text())
+    spans = [s for s in _metric_spans()
+             if s not in layers["not_reached"]["octagonal_2d"]]
+    assert "gridindex.pairs_within" in spans
+    E, F = workloads.octagonal_bases()
+    gen = _write_json(tmp_path / "generate.json", {"cut_project": {
+        "n": 4, "E_basis": E, "F_basis": F,
+        "window": {"kind": "ball", "center": [0.0, 0.0],
+                   "radius": workloads.OCT_WINDOW_RADIUS},
+        "output_radius": 10.0, "torus_offset": [0.1, 0.2, 0.3, 0.4]}})
+    ac = _write_json(tmp_path / "autocorr.json", {"radii": [6.0, 8.0, 10.0]})
+    df = _write_json(tmp_path / "diffract.json", {
+        "radii": [6.0, 8.0, 10.0],
+        "k_lo": [-workloads.OCT_K_LIMIT] * 2, "k_hi": [workloads.OCT_K_LIMIT] * 2,
+        "k_step": 1.0 / 40.0, "criteria": workloads.OCT_CRITERIA})
+    out = str(tmp_path / "out")
+    points = str(tmp_path / "out" / "points.csv")
+    counts = _count_spans(monkeypatch, spans)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        assert cli.main(["generate", "--config", gen, "--out", out]) == 0
+    assert cli.main(["autocorr", points, "--config", ac, "--out", out]) == 0
+    assert cli.main(["diffract", points, "--config", df, "--out", out]) == 0
+    assert [s for s, n in counts.items() if n == 0] == [], counts

@@ -50,6 +50,65 @@ def test_cell_codes_raise_the_reference_text(pts, cell):
 
 
 # ---------------------------------------------------------------------------
+# the blocked pair walk against the one-shot enumeration, bit for bit
+
+
+def assert_same_pairs(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.int64
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("cell", [0.5, 1.0, 2.5])
+def test_pairs_within_matches_one_shot_reference(pair_block, dim, cell):
+    rng = np.random.default_rng(7 * dim + int(10 * cell))
+    pts = rng.uniform(-4.0, 4.0, size=(60, dim))
+    queries = rng.uniform(-6.0, 6.0, size=(40, dim))
+    grid = GridIndex(pts, cell)
+    for radius in (0.4, 1.0, 2.0):
+        assert_same_pairs(grid.pairs_within(queries, radius),
+                          oracles.ref_pairs_within(pts, cell, queries, radius))
+        assert_same_pairs(grid.pairs_within(pts, radius),
+                          oracles.ref_pairs_within(pts, cell, pts, radius))
+    if cell == 2.5 and pair_block == 7:
+        # one query's run is longer than a block
+        assert np.unique(grid._codes, return_counts=True)[1].max() > pair_block
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_pair_walk_blocks_hold_whole_runs(pair_block, dim):
+    rng = np.random.default_rng(dim)
+    pts = rng.uniform(-4.0, 4.0, size=(80, dim))
+    grid = GridIndex(pts, 1.5)
+    blocks = list(grid._blocks(pts, 1.5))
+    for qrows, prows, diff, keep in blocks:
+        assert np.array_equal(diff, pts[prows] - pts[qrows])
+        assert np.array_equal(keep, np.sum(diff ** 2, axis=1) <= 1.5 ** 2)
+        assert np.all(np.diff(qrows) >= 0)
+        assert len(qrows) <= pair_block or qrows[0] == qrows[-1]
+    # no query's run is split between two blocks
+    for (q1, *_), (q2, *_) in zip(blocks, blocks[1:]):
+        assert q1[-1] != q2[0]
+    assert grid._candidates(pts, 1.5) == sum(len(q) for q, *_ in blocks)
+    # more blocks than the 3**dim cell offsets
+    assert (len(blocks) > 3 ** dim) == (pair_block == 7)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_pairs_within_empty_and_one_point(pair_block, dim):
+    queries = np.arange(3.0 * dim).reshape(3, dim)
+    none = np.zeros((0, dim))
+    for pts, qs in ((none, queries), (queries, none), (none, none),
+                    (np.ones((1, dim)), queries), (queries, np.ones((1, dim)))):
+        got = GridIndex(pts, 1.0).pairs_within(qs, 1.5)
+        assert_same_pairs(got, oracles.ref_pairs_within(pts, 1.0, qs, 1.5))
+    one = np.ones((1, dim))
+    assert_same_pairs(GridIndex(one, 1.0).pairs_within(one, 1.0),
+                      (np.zeros(1, dtype=np.int64),) * 2)
+
+
+# ---------------------------------------------------------------------------
 # nn_d2 against a full scan; the squared-distance expression is shared, so
 # the comparison is exact
 
