@@ -24,7 +24,7 @@ from .errors import (
     RadiusExceedsWindow,
     WindowTooSmall,
 )
-from .gridindex import GridIndex, _cell_codes
+from .gridindex import GridIndex, _column_cells
 from .pointset import (
     PointSet,
     RegionSpec,
@@ -41,24 +41,47 @@ from .util import fmt_float, schedule, tail_converged
 _MAX_RANKED = 2**31
 
 
+def _rank(keys: np.ndarray, size: int):
+    """Dense ranks of int64 keys in [0, size), and how many keys are distinct.
+
+    Equal keys get equal ranks, numbered in key order. A range of at most
+    twice the row count is ranked through a bitmap of the keys present and
+    its cumulative sum; a wider one by ``np.unique``, which gives the same
+    ranks.
+    """
+    if size > 2 * len(keys):
+        distinct, rank = np.unique(keys, return_inverse=True)
+        return rank, len(distinct)
+    present = np.zeros(size, dtype=bool)
+    present[keys] = True
+    table = np.cumsum(present)
+    table -= 1
+    return table[keys], int(np.count_nonzero(present))
+
+
 def _group_by_cell(locations: np.ndarray, cell: float):
     """Group label of each row by its floor-quantized cell, and the count.
 
-    Labels number the cells in code order: a cumulative sum of the bool
-    "new cell" flags over the sorted codes, scattered back to the rows.
-    Equal codes get equal labels, so the sort need not be stable.
+    Labels number the cells in row-major order, which is lexicographic:
+    each column's floor cells are ranked (``_rank``), the ranks are combined
+    row-major, key * m + rank for a column of m distinct cells, and the
+    combined key is ranked again, so it stays below the row count. Raises
+    InvalidArgument naming ``bin_tol`` as ``gridindex._column_cells`` does.
     """
-    codes = _cell_codes(locations, cell, "bin_tol")[0]
-    order = np.argsort(codes)
-    codes = codes[order]
-    new_cell = codes[1:] != codes[:-1]
-    del codes
-    sorted_gid = np.zeros(len(order), dtype=np.int64)
-    np.cumsum(new_cell, out=sorted_gid[1:])
-    del new_cell
-    gid = np.empty_like(sorted_gid)
-    gid[order] = sorted_gid
-    return gid, int(sorted_gid[-1]) + 1
+    if len(locations) == 0:
+        return np.empty(0, dtype=np.int64), 0
+    key = None
+    for cells, _, size in _column_cells(locations, cell, "bin_tol"):
+        rank, m = _rank(cells, size)
+        del cells
+        if key is None:
+            key, count = rank, m
+        else:
+            key *= m
+            key += rank
+            del rank
+            key, count = _rank(key, count * m)
+    return key, count
 
 
 def _aggregate(locations, weights, group_ids, n_groups):
@@ -232,8 +255,9 @@ class PairDifferences:
     queries = points = P these are P[pi] - P[qi]. Blocks split only between
     query runs and come in walk order, so their kept rows, written one
     after another, are ``pairs_within``'s rows in its order. They are
-    written into arrays sized by the walk's candidate count, so no list of
-    blocks and no concatenated copy ever coexist with the result.
+    written into arrays sized by the walk's candidate count, counted from
+    the same run lookups the walk then expands, so no list of blocks and
+    no concatenated copy ever coexist with the result.
 
     Why ``at(r)`` equals a fresh enumeration at r, row for row and bit for
     bit: it keeps the points of P by S's cached norms and the ball rule, so
@@ -255,13 +279,14 @@ class PairDifferences:
     Why the labels of ``cells_at(r, bin_tol)`` equal ``bin_atoms``' own on
     ``at(r)``: the differences at R are labelled once per bin_tol, and a
     smaller radius keeps its rows' labels, renumbered to consecutive values
-    in the same order (a bitmap of the cells present and its cumulative
-    sum). That is the quantization of the subset because
+    in the same order (``_rank``, as ``_group_by_cell`` ranks its keys).
+    That is the quantization of the subset because
     - floor cells are absolute: a row's cell does not depend on which other
       rows are quantized with it;
-    - row-major codes order cells lexicographically whatever the mins and
-      extents of the rows coded, so the subset's distinct cells come in the
-      same order, and a row's rank among them is its renumbered label;
+    - labels number the cells lexicographically (``_group_by_cell``)
+      whatever the other rows labelled, so the subset's distinct cells come
+      in the same order, and a row's rank among them is its renumbered
+      label;
     - with equal labels on the same rows in the same order, ``bin_atoms``'
       bincounts add the same floats in the same order.
     """
@@ -286,15 +311,18 @@ class PairDifferences:
         rank = np.empty(n, dtype=np.int32)
         rank[by_norm] = np.arange(n, dtype=np.int32)
         grid = GridIndex(self.P, max(diff_cutoff, S.hardcore_radius))
+        # one run lookup per offset: it sizes the arrays and feeds the walk
+        runs = list(grid._offset_runs(self.P, diff_cutoff))
         # pages past the last pair are never written, so never resident
-        cap = grid._candidates(self.P, diff_cutoff)
+        cap = grid._candidates(runs)
         diffs = np.empty((cap, S.dim))
         reach = np.empty(cap, dtype=np.int32)
         count = 0
-        for qrows, prows, diff, keep in grid._blocks(self.P, diff_cutoff):
+        for qrows, prows, diff, keep in grid._blocks(self.P, diff_cutoff, runs):
             end = count + int(np.count_nonzero(keep))
-            diffs[count:end] = diff[keep]
-            reach[count:end] = np.maximum(rank[qrows[keep]], rank[prows[keep]])
+            diffs[count:end] = np.compress(keep, diff, axis=0)
+            np.maximum(rank[np.compress(keep, qrows)],
+                       rank[np.compress(keep, prows)], out=reach[count:end])
             count = end
         self.diffs, self._reach = diffs[:count], reach[:count]
         self._labels: dict[float, tuple[np.ndarray, int]] = {}
@@ -307,27 +335,27 @@ class PairDifferences:
 
         At r = R this is ``diffs`` itself, not a copy.
         """
-        return self.diffs if r == self.R else self.diffs[self._inside(r)]
+        if r == self.R:
+            return self.diffs
+        return np.compress(self._inside(r), self.diffs, axis=0)
 
     def cells_at(self, r: float, bin_tol: float):
         """``at(r)`` and its rows' bin_tol cell labels with their count.
 
         The labels are those ``bin_atoms(at(r), w, bin_tol)`` would compute;
-        the differences at R are quantized once per bin_tol.
+        the differences at R are quantized once per bin_tol, and a smaller
+        radius renumbers its rows' labels with ``_rank``.
         """
         if bin_tol not in self._labels:
-            self._labels[bin_tol] = (
-                _group_by_cell(self.diffs, bin_tol) if len(self.diffs)
-                else (np.empty(0, dtype=np.int64), 0))
+            self._labels[bin_tol] = _group_by_cell(self.diffs, bin_tol)
         gid, n_groups = self._labels[bin_tol]
         if r == self.R:
             return self.diffs, (gid, n_groups)
         keep = self._inside(r)
-        gid = gid[keep]
-        present = np.zeros(n_groups, dtype=bool)
-        present[gid] = True
-        rank = np.cumsum(present) - 1
-        return self.diffs[keep], (rank[gid], int(np.count_nonzero(present)))
+        # relabel first, so the subset's old labels are gone before its
+        # differences are gathered
+        labels = _rank(np.compress(keep, gid), n_groups)
+        return np.compress(keep, self.diffs, axis=0), labels
 
 
 def finite_autocorrelation(S: PointSet, R: float, bin_tol: float | None = None,

@@ -8,10 +8,16 @@ Euclidean balls. Pair queries walk their candidates in blocks of at most
 its pair count. The cell size is a tuning knob: pick it near the query
 radius so each lookup touches a bounded number of neighbor cells.
 
+``_column_cells`` is the one cell quantizer: it floors one column at a time
+and checks its range, for the grid's codes here and for
+``autocorr._group_by_cell``'s labels. Every squared distance is a
+``_sq_norms`` of ``_pair_diffs``.
+
 ``nn_d2`` is the one nearest-distance search: every "how far is the nearest
 other point" question goes through it, except ``dtilde``'s exact-match
-probe. It computes d2 with ``pairs_within``'s own expression, so its minima
-compare exactly with a pair query's.
+probe. It looks up a whole Chebyshev shell of cells for all pending queries
+at once, and computes d2 as ``pairs_within`` does, so its minima compare
+exactly with a pair query's.
 """
 
 from __future__ import annotations
@@ -28,40 +34,76 @@ _MAX_CODES = 2**62
 _PAIR_BLOCK = 1 << 18
 
 
+def _sq_norms(diff: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norms of the rows of an (N, dim) float array.
+
+    Adds the squared columns left to right, which is the order in which
+    ``np.sum(diff ** 2, axis=1)`` adds fewer than 8 columns, so the two are
+    equal bit for bit; wider rows go through ``np.sum`` itself.
+    """
+    if diff.shape[1] >= 8:   # numpy adds 8 or more columns pairwise
+        return np.sum(diff ** 2, axis=1)
+    d2 = diff[:, 0] ** 2
+    for d in range(1, diff.shape[1]):
+        d2 += diff[:, d] ** 2
+    return d2
+
+
+def _column_cells(points: np.ndarray, cell: float, knob: str):
+    """Each column's floor cells of nonempty (N, dim) rows, one at a time.
+
+    Yields (cells, lo, size) per column: the int64 floor cells shifted by
+    their least value lo, and the size of their range. Raises
+    InvalidArgument, naming `knob`, when a cell coordinate would overflow
+    int64 and, once every column has passed that check, when the row-major
+    code range (the product of the sizes) would. A column's extreme cells
+    are the floors of its extreme coordinates (division and floor are
+    monotone).
+    """
+    total = 1
+    for d in range(points.shape[1]):
+        col = points[:, d]
+        lo, hi = sorted((float(col.min() / cell), float(col.max() / cell)))
+        # bound before the cast: int64 conversion wraps silently; NaN fails too
+        if not -_MAX_CODES < lo <= hi < _MAX_CODES:
+            raise InvalidArgument(
+                "cell coordinates out of range: non-finite coordinates or a "
+                f"{knob} too fine for their extent")
+        # exact Python ints: e // 1 is floor(e) for finite e
+        lo, size = int(lo // 1), int(hi // 1) - int(lo // 1) + 1
+        cells = col / cell
+        np.floor(cells, out=cells)
+        cells = cells.astype(np.int64)
+        cells -= lo
+        total *= size
+        yield cells, lo, size
+        del cells   # so a caller that drops it frees it before the next column
+    if total >= _MAX_CODES:
+        raise InvalidArgument(f"{knob} too fine for the coordinate extent")
+
+
 def _cell_codes(points: np.ndarray, cell: float, knob: str):
     """Row-major int64 codes of the floor cells of nonempty (N, dim) rows.
 
-    Returns (codes, mins, extents, strides). Raises InvalidArgument, naming
-    `knob`, when a cell coordinate or the code range would overflow int64.
-    Works one column at a time. A column's extreme cells are the floors of
-    its extreme coordinates (division and floor are monotone), and the codes
-    are summed from per-column int64 products.
+    Returns (codes, mins, extents, strides); raises as ``_column_cells``.
+    The codes are built column by column, code * size + cells, which is the
+    sum of each column's cells times its stride.
     """
-    cols = [points[:, d] for d in range(points.shape[1])]
-    ends = [sorted((float(c.min() / cell), float(c.max() / cell))) for c in cols]
-    # bound before the cast: int64 conversion wraps silently; NaN fails too
-    if not all(-_MAX_CODES < e < _MAX_CODES for pair in ends for e in pair):
-        raise InvalidArgument(
-            "cell coordinates out of range: non-finite coordinates or a "
-            f"{knob} too fine for their extent")
-    # exact Python ints: e // 1 is floor(e) for finite e
-    lo = [int(e // 1) for e, _ in ends]
-    sizes = [int(e // 1) - m + 1 for (_, e), m in zip(ends, lo)]
-    steps = [1] * len(sizes)
+    codes, lo, sizes = None, [], []
+    for cells, m, size in _column_cells(points, cell, knob):
+        if codes is None:
+            codes = cells
+        else:
+            # wraps silently only when _column_cells is about to raise
+            codes *= size
+            codes += cells
+        lo.append(m)
+        sizes.append(size)
+    strides = [1] * len(sizes)
     for d in range(len(sizes) - 1, 0, -1):
-        steps[d - 1] = steps[d] * sizes[d]
-    if steps[0] * sizes[0] >= _MAX_CODES:
-        raise InvalidArgument(f"{knob} too fine for the coordinate extent")
-    codes = np.zeros(len(points), dtype=np.int64)
-    for c, m, s in zip(cols, lo, steps):
-        part = c / cell
-        np.floor(part, out=part)
-        part = part.astype(np.int64)
-        part -= m
-        part *= s
-        codes += part
+        strides[d - 1] = strides[d] * sizes[d]
     return (codes, np.array(lo, dtype=np.int64),
-            np.array(sizes, dtype=np.int64), np.array(steps, dtype=np.int64))
+            np.array(sizes, dtype=np.int64), np.array(strides, dtype=np.int64))
 
 
 class GridIndex:
@@ -107,27 +149,44 @@ class GridIndex:
         # flat[i] walks each [left, left + lens) run in sequence
         flat = np.repeat(left - (np.cumsum(lens) - lens), lens)
         flat += np.arange(flat.size)
-        return np.repeat(rows, lens), self._order[flat]
+        return np.repeat(rows, lens), np.take(self._order, flat)
 
-    def _offsets(self, radius: float):
+    def _pair_diffs(self, queries, qrows, prows):
+        """``points[prows] - queries[qrows]``: two row gathers, one subtract."""
+        diff = np.take(self.points, prows, axis=0)
+        diff -= np.take(queries, qrows, axis=0)
+        return diff
+
+    def _offset_runs(self, queries: np.ndarray, radius: float):
+        """Each cell offset's ``_runs`` lookup for the queries, in walk order."""
+        qcells = np.floor(queries / self.cell).astype(np.int64)
         k = int(np.ceil(radius / self.cell))
-        return itertools.product(range(-k, k + 1), repeat=self.dim)
+        for off in itertools.product(range(-k, k + 1), repeat=self.dim):
+            yield self._runs(qcells + np.asarray(off, dtype=np.int64))
 
-    def _blocks(self, queries: np.ndarray, radius: float):
+    @staticmethod
+    def _candidates(runs) -> int:
+        """How many candidates a walk over these ``_offset_runs`` tests."""
+        return sum(int(lens.sum()) for *_, lens in runs)
+
+    def _blocks(self, queries: np.ndarray, radius: float, runs=None):
         """The pair walk within radius, in blocks of (qrows, prows, diff, keep).
 
         Cell offsets outermost, then query rows in order, each with its
         cell's points in index order; a block holds whole runs and at most
         _PAIR_BLOCK candidates, unless one run alone is longer. ``diff`` is
         ``points[prows] - queries[qrows]`` and ``keep`` marks the rows whose
-        squared sum is <= radius**2. ``queries`` is an (M, dim) float array.
+        ``_sq_norms`` is <= radius**2. ``queries`` is an (M, dim) float
+        array. ``runs`` lends the walk's lookups, ``_offset_runs(queries,
+        radius)`` read into a list, to a caller that sizes its output by
+        their ``_candidates`` first; by default each offset is looked up as
+        the walk reaches it.
         """
         if self._order.size == 0:
             return
-        qcells = np.floor(queries / self.cell).astype(np.int64)
         r2 = radius * radius
-        for off in self._offsets(radius):
-            rows, left, lens = self._runs(qcells + np.asarray(off, dtype=np.int64))
+        for rows, left, lens in (self._offset_runs(queries, radius)
+                                 if runs is None else runs):
             ends = np.cumsum(lens)
             if ends.size == 0 or ends[-1] == 0:
                 continue
@@ -140,26 +199,17 @@ class GridIndex:
                     b = int(np.searchsorted(ends, base + _PAIR_BLOCK, side="right"))
                     b = max(b, a + 1)   # one run longer than a block
                 qrows, prows = self._expand(rows[a:b], left[a:b], lens[a:b])
-                diff = self.points[prows] - queries[qrows]
-                keep = np.sum(diff ** 2, axis=1) <= r2
-                yield qrows, prows, diff, keep
+                diff = self._pair_diffs(queries, qrows, prows)
+                yield qrows, prows, diff, _sq_norms(diff) <= r2
                 a = b
-
-    def _candidates(self, queries: np.ndarray, radius: float) -> int:
-        """How many candidates ``_blocks(queries, radius)`` tests."""
-        if self._order.size == 0:
-            return 0
-        qcells = np.floor(queries / self.cell).astype(np.int64)
-        return sum(int(self._runs(qcells + np.asarray(off, dtype=np.int64))[2].sum())
-                   for off in self._offsets(radius))
 
     def pairs_within(self, queries: np.ndarray, radius: float):
         """All (query_row, point_row) with Euclidean distance <= radius."""
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
         out_q, out_p = [], []
         for qrows, prows, _, keep in self._blocks(queries, radius):
-            out_q.append(qrows[keep])
-            out_p.append(prows[keep])
+            out_q.append(np.compress(keep, qrows))
+            out_p.append(np.compress(keep, prows))
         if not out_q:
             e = np.empty(0, dtype=np.int64)
             return e, e
@@ -202,19 +252,26 @@ class GridIndex:
             k_limit = min(k_limit, int(np.ceil(r_max / self.cell)))
         pending = np.arange(best.size)
         for k in range(0, k_limit + 1):
-            for off in itertools.product(range(-k, k + 1), repeat=self.dim):
-                if max(abs(o) for o in off) != k:
-                    continue
-                rows, left, lens = self._runs(
-                    qcells[pending] + np.asarray(off, dtype=np.int64))
-                qrows, prows = self._expand(pending[rows], left, lens)
+            side = np.arange(-k, k + 1)
+            cube = np.stack(np.meshgrid(*[side] * self.dim, indexing="ij"),
+                            axis=-1).reshape(-1, self.dim)
+            shell = cube[np.max(np.abs(cube), axis=1) == k]
+            pcells = qcells[pending]
+            # one lookup for the shell's offsets x the pending queries, in
+            # slices of at most _PAIR_BLOCK cells (one offset at least)
+            step = max(1, _PAIR_BLOCK // pending.size)
+            for s in range(0, len(shell), step):
+                cells = (pcells + shell[s:s + step, None, :]).reshape(-1, self.dim)
+                rows, left, lens = self._runs(cells)
+                qrows, prows = self._expand(pending[rows % pending.size],
+                                            left, lens)
                 if exclude_self:
                     other = qrows != prows
-                    qrows, prows = qrows[other], prows[other]
+                    qrows, prows = np.compress(other, qrows), np.compress(other, prows)
                 if qrows.size == 0:
                     continue
-                d2 = np.sum((self.points[prows] - queries[qrows]) ** 2, axis=1)
-                np.minimum.at(best, qrows, d2)
+                np.minimum.at(best, qrows,
+                              _sq_norms(self._pair_diffs(queries, qrows, prows)))
             # shells beyond k sit at distance > k*cell from any query point
             pending = pending[best[pending] > (k * self.cell) ** 2]
             if pending.size == 0:

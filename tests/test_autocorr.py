@@ -55,6 +55,104 @@ def test_bin_atoms_separation_and_mass(xs):
         assert np.all(gaps >= 1e-2 * (1.0 - 1e-9))
 
 
+# ---------------------------------------------------------------------------
+# cell labels: per-column ranks against the sort-based reference
+
+
+def record_rank_paths(monkeypatch) -> list:
+    """Record, per ``_rank`` call, whether it ranks by ``np.unique``."""
+    paths = []
+    original = autocorr._rank
+
+    def recording(keys, size):
+        paths.append(size > 2 * len(keys))
+        return original(keys, size)
+
+    monkeypatch.setattr(autocorr, "_rank", recording)
+    return paths
+
+
+def assert_same_labels(got, want):
+    assert got[0].dtype == np.int64
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+
+@pytest.mark.parametrize("n, size", [(0, 0), (0, 3), (1, 1), (50, 100),
+                                     (50, 101), (50, 10**9)])
+def test_rank_equals_unique_inverse(n, size):
+    keys = np.random.default_rng(n).integers(0, max(size, 1), size=n)
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    rank, count = autocorr._rank(keys, size)
+    assert np.array_equal(rank, inverse) and count == len(distinct)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("cell", [1e-3, 0.37, 4.0])
+def test_group_by_cell_matches_reference_by_bitmap(monkeypatch, dim, cell):
+    rng = np.random.default_rng(dim + int(100 * cell))
+    # a few cells per column, each cell holding many rows
+    locs = rng.uniform(-3.0, 3.0, size=(2000, dim)) * cell
+    locs[0] = -3.0 * cell   # a coordinate on a cell boundary
+    paths = record_rank_paths(monkeypatch)
+    assert_same_labels(autocorr._group_by_cell(locs, cell),
+                       oracles.ref_group_by_cell(locs, cell))
+    assert paths == [False] * (2 * dim - 1)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_group_by_cell_matches_reference_column_beyond_bitmap(monkeypatch, dim):
+    # two clusters 1e9 apart: the first column's range is far above 2 * rows
+    rng = np.random.default_rng(dim)
+    locs = rng.uniform(-2.0, 2.0, size=(300, dim))
+    locs[::2, 0] += 1e9
+    paths = record_rank_paths(monkeypatch)
+    assert_same_labels(autocorr._group_by_cell(locs, 0.5),
+                       oracles.ref_group_by_cell(locs, 0.5))
+    assert paths[0]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_group_by_cell_matches_reference_key_beyond_bitmap(monkeypatch, dim):
+    # each column's range fits the bitmap, their combination does not
+    rng = np.random.default_rng(dim)
+    locs = rng.uniform(0.0, 300.0, size=(400, dim))
+    paths = record_rank_paths(monkeypatch)
+    assert_same_labels(autocorr._group_by_cell(locs, 1.0),
+                       oracles.ref_group_by_cell(locs, 1.0))
+    assert paths[:3] == [False, False, True]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_group_by_cell_empty_and_one_row(dim):
+    gid, n_groups = autocorr._group_by_cell(np.zeros((0, dim)), 0.5)
+    assert gid.dtype == np.int64 and gid.size == 0 and n_groups == 0
+    one = np.full((1, dim), -2.25)
+    assert_same_labels(autocorr._group_by_cell(one, 0.5),
+                       oracles.ref_group_by_cell(one, 0.5))
+
+
+@pytest.mark.parametrize("locs, bin_tol", [
+    ([[0.0, 1.0], [math.nan, 2.0]], 0.5),
+    ([[0.0, 1.0], [2.0, math.inf]], 0.5),
+    ([[0.0], [-math.inf]], 0.5),
+    ([[0.0], [1e300]], 1.0),                          # a cell overflows
+    ([[0.0, 0.0], [1e10, 1e10]], 1e-3),               # the code range does
+    ([[0.0, 0.0, math.nan], [1e10, 1e10, 0.0]], 1e-3),  # both: NaN first
+])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_bin_tol_errors_keep_the_reference_text(locs, bin_tol):
+    locs = np.array(locs)
+    with pytest.raises(ValueError) as want:
+        oracles.ref_cell_codes(locs, bin_tol, "bin_tol")
+    assert "bin_tol too fine" in str(want.value)
+    with pytest.raises(ak.InvalidArgument) as got:
+        autocorr._group_by_cell(locs, bin_tol)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(ak.InvalidArgument) as got:
+        ak.bin_atoms(locs, np.ones(len(locs)), bin_tol)
+    assert str(got.value) == str(want.value)
+
+
 def test_measure_validation_rejects_close_atoms():
     with pytest.raises(ak.InvalidArgument, match="closer than bin_tol"):
         ak.WeightedAtomMeasure(1, np.array([[0.0], [1e-6]]),
@@ -366,9 +464,9 @@ def test_limit_enumerates_pairs_once(monkeypatch):
     calls = []
     original = GridIndex._blocks
 
-    def counting(self, queries, radius):
+    def counting(self, queries, radius, runs=None):
         calls.append(radius)
-        return original(self, queries, radius)
+        return original(self, queries, radius, runs)
 
     monkeypatch.setattr(GridIndex, "_blocks", counting)
     ak.autocorrelation_limit(S, [6.0, 9.0, 12.0], diff_cutoff=3.5)

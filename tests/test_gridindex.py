@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import apkit as ak
 import oracles
-from apkit.gridindex import GridIndex, _cell_codes
+from apkit.gridindex import GridIndex, _cell_codes, _sq_norms
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +51,25 @@ def test_cell_codes_raise_the_reference_text(pts, cell):
 
 
 # ---------------------------------------------------------------------------
+# squared norms against numpy's row sums, bit for bit
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_sq_norms_equal_numpy_row_sums(dim):
+    rng = np.random.default_rng(dim)
+    noise = rng.standard_normal((4000, dim)) * rng.uniform(1e-3, 1e3, (4000, 1))
+    # differences of a lattice with a non-dyadic spacing: many rows sit
+    # exactly on a radius that the pair walk tests with <=
+    side = range(-3, 4) if dim <= 4 else range(-1, 2)
+    lattice = 0.1 * np.array(list(itertools.product(side, repeat=dim)))
+    diffs = np.concatenate([noise, lattice - lattice[::-1], lattice - lattice[0]])
+    want = np.sum(diffs ** 2, axis=1)
+    assert np.array_equal(_sq_norms(diffs), want)
+    for r in (0.1, 0.2, 0.3):
+        assert np.array_equal(_sq_norms(diffs) <= r * r, want <= r * r)
+
+
+# ---------------------------------------------------------------------------
 # the blocked pair walk against the one-shot enumeration, bit for bit
 
 
@@ -90,7 +110,13 @@ def test_pair_walk_blocks_hold_whole_runs(pair_block, dim):
     # no query's run is split between two blocks
     for (q1, *_), (q2, *_) in zip(blocks, blocks[1:]):
         assert q1[-1] != q2[0]
-    assert grid._candidates(pts, 1.5) == sum(len(q) for q, *_ in blocks)
+    # lent lookups size the walk and give the same blocks
+    runs = list(grid._offset_runs(pts, 1.5))
+    assert grid._candidates(runs) == sum(len(q) for q, *_ in blocks)
+    lent = list(grid._blocks(pts, 1.5, runs))
+    assert len(lent) == len(blocks)
+    for got, want in zip(lent, blocks):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
     # more blocks than the 3**dim cell offsets
     assert (len(blocks) > 3 ** dim) == (pair_block == 7)
 
@@ -128,6 +154,21 @@ def test_nn_d2_matches_brute(dim, cell):
         assert np.array_equal(grid.nn_d2(pts, r_max, exclude_self=True), want)
     assert np.array_equal(grid.nn_dist(queries),
                           np.sqrt(oracles.brute_nn_d2(pts, queries)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n_queries", [3, 40])
+def test_nn_d2_shell_slices_match_brute(pair_block, dim, n_queries):
+    # at block 7 a shell's lookup is split into slices of a few offsets
+    rng = np.random.default_rng(dim + n_queries)
+    pts = rng.uniform(-4.0, 4.0, size=(60, dim))
+    queries = rng.uniform(-9.0, 9.0, size=(n_queries, dim))
+    grid = GridIndex(pts, 0.7)
+    for r_max in (math.inf, 2.0):
+        assert np.array_equal(grid.nn_d2(queries, r_max),
+                              oracles.brute_nn_d2(pts, queries, r_max))
+    assert np.array_equal(grid.nn_d2(pts, exclude_self=True),
+                          oracles.brute_nn_d2(pts, pts, exclude_self=True))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -170,3 +211,4 @@ def test_grid_index_bad_arguments_are_invalid_argument():
         GridIndex(np.zeros(3), 1.0)
     with pytest.raises(ak.InvalidArgument):
         GridIndex(np.zeros((3, 1)), 0.0)
+
