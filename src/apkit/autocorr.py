@@ -253,11 +253,11 @@ class PairDifferences:
     (``GridIndex._blocks``) yields each block's ``points[prows] -
     queries[qrows]``, the very floats whose squared sum it tests; with
     queries = points = P these are P[pi] - P[qi]. Blocks split only between
-    query runs and come in walk order, so their kept rows, written one
-    after another, are ``pairs_within``'s rows in its order. They are
-    written into arrays sized by the walk's candidate count, counted from
-    the same run lookups the walk then expands, so no list of blocks and
-    no concatenated copy ever coexist with the result.
+    (cell offset, query) runs and come in walk order, so their kept rows,
+    written one after another, are ``pairs_within``'s rows in its order.
+    They are written into arrays sized by the walk's candidate count,
+    counted from the same run lookups the walk then expands, so no list of
+    blocks and no concatenated copy ever coexist with the result.
 
     Why ``at(r)`` equals a fresh enumeration at r, row for row and bit for
     bit: it keeps the points of P by S's cached norms and the ball rule, so
@@ -311,7 +311,8 @@ class PairDifferences:
         rank = np.empty(n, dtype=np.int32)
         rank[by_norm] = np.arange(n, dtype=np.int32)
         grid = GridIndex(self.P, max(diff_cutoff, S.hardcore_radius))
-        # one run lookup per offset: it sizes the arrays and feeds the walk
+        # the walk's run lookups, made once: they size the arrays and feed
+        # the walk
         runs = list(grid._offset_runs(self.P, diff_cutoff))
         # pages past the last pair are never written, so never resident
         cap = grid._candidates(runs)

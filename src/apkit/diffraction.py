@@ -165,7 +165,8 @@ class Periodogram(Record):
 
     normalization "per-volume" is |sum|^2 / |B_R| (diverges linearly in R at
     a true atom); "atom-mass" is |sum|^2 / |B_R|^2 (converges to the atom
-    mass).
+    mass). One made by ``periodogram`` also keeps |sum|^2 as ``power``, an
+    attribute rather than a field, so it stays out of the JSON and CSV forms.
     """
 
     dim: int
@@ -195,7 +196,9 @@ def periodogram(S: PointSet, R: float, k_grid: KGrid,
     vol = ball_volume(S.dim, R)
     power = np.abs(_grid_fourier_sums(P, k_grid)) ** 2
     values = power / vol if normalization == "per-volume" else power / vol ** 2
-    return Periodogram(S.dim, k_grid, values, float(R), normalization)
+    per = Periodogram(S.dim, k_grid, values, float(R), normalization)
+    per.power = power
+    return per
 
 
 def atom_mass(S: PointSet, k, radii) -> tuple[float, float]:
@@ -273,10 +276,10 @@ def detect_bragg_peaks(S: PointSet, radii, k_grid: KGrid,
     The default threshold is 0.05 times the squared counting density; one
     radius cannot score stability, so the schedule needs two.
 
-    ``per`` lends ``periodogram(S, R, k_grid)`` at the largest radius, so a
-    caller that also writes it computes it once. An "atom-mass" periodogram
-    is not used: its values do not give the per-volume ones bit for bit.
-    One at another radius or on another grid object raises InvalidArgument.
+    ``per`` lends ``periodogram(S, R, k_grid)`` at the largest radius, of
+    either normalization, so a caller that also writes it computes it once:
+    its ``power`` / |B_R| are the per-volume values bit for bit. One at
+    another radius or on another grid object raises InvalidArgument.
     """
     radii = schedule(radii)
     if radii.size < 2:
@@ -291,12 +294,12 @@ def detect_bragg_peaks(S: PointSet, radii, k_grid: KGrid,
     if per is not None and (per.radius_used != R or per.k_grid is not k_grid):
         raise InvalidArgument(
             f"the lent periodogram is not the one at R={R:g} on this k grid")
-    if per is None or per.normalization != "per-volume":
+    if per is None:
         per = periodogram(S, R, k_grid)
     vol = ball_volume(S.dim, R)
-    shape = per.k_grid.shape()
-    cand = _grid_local_maxima(per.values, shape)
-    cand = cand[per.values[cand] >= threshold * vol]
+    values = per.power / vol
+    cand = _grid_local_maxima(values, per.k_grid.shape())
+    cand = cand[values[cand] >= threshold * vol]
     nodes = per.k_grid.nodes()
 
     def power(k: np.ndarray) -> float:

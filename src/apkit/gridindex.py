@@ -1,12 +1,16 @@
 """Uniform-grid spatial index over a fixed batch of points.
 
-Points are bucketed once into hypercube cells of a fixed edge length; cell
-codes are sorted so each query resolves its candidate buckets with two binary
-searches. All query methods are vectorized over query batches and use closed
-Euclidean balls. Pair queries walk their candidates in blocks of at most
-``_PAIR_BLOCK`` (``_blocks``), so a walk's working set does not grow with
-its pair count. The cell size is a tuning knob: pick it near the query
-radius so each lookup touches a bounded number of neighbor cells.
+Points are bucketed once into hypercube cells of a fixed edge length and
+sorted by row-major cell code. A query cell's run of points is read from a
+dense table of cell starts when the code range is at most 8 cells per point
+plus 4096, and found by two binary searches on the sorted codes otherwise
+(``_runs``). A walk looks up every cell offset x query cell at once, in
+slices of at most ``_PAIR_BLOCK`` cells (``_lookups``). All query methods
+are vectorized over query batches and use closed Euclidean balls. Pair
+queries walk their candidates in blocks of at most ``_PAIR_BLOCK``
+(``_blocks``), so a walk's working set does not grow with its pair count.
+The cell size is a tuning knob: pick it near the query radius so each
+lookup touches a bounded number of neighbor cells.
 
 ``_column_cells`` is the one cell quantizer: it floors one column at a time
 and checks its range, for the grid's codes here and for
@@ -22,16 +26,15 @@ exactly with a pair query's.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .errors import InvalidArgument
 
 _MAX_CODES = 2**62
 
-#: largest number of candidate pairs in one block of the pair walk
-_PAIR_BLOCK = 1 << 18
+#: largest number of candidate pairs in one block of the pair walk, and of
+#: cells in one run lookup; a block's arrays then stay near the L2 cache size
+_PAIR_BLOCK = 1 << 15
 
 
 def _sq_norms(diff: np.ndarray) -> np.ndarray:
@@ -47,6 +50,13 @@ def _sq_norms(diff: np.ndarray) -> np.ndarray:
     for d in range(1, diff.shape[1]):
         d2 += diff[:, d] ** 2
     return d2
+
+
+def _cube(k: int, dim: int) -> np.ndarray:
+    """The (2k + 1)**dim cell offsets in [-k, k]**dim, last axis fastest."""
+    side = np.arange(-k, k + 1)
+    return np.stack(np.meshgrid(*[side] * dim, indexing="ij"),
+                    axis=-1).reshape(-1, dim)
 
 
 def _column_cells(points: np.ndarray, cell: float, knob: str):
@@ -116,6 +126,7 @@ class GridIndex:
         self.points = points
         self.cell = float(cell_size)
         self.dim = points.shape[1]
+        self._starts = None
         n = points.shape[0]
         if n == 0:
             self._mins = np.zeros(self.dim, dtype=np.int64)
@@ -128,21 +139,58 @@ class GridIndex:
             points, self.cell, "cell_size")
         self._order = np.argsort(codes, kind="stable")
         self._codes = codes[self._order]
+        total = int(self._strides[0] * self._extents[0])
+        if total <= 8 * n + 4096:
+            # _starts[c] counts the points with a code below c, for c <= total
+            self._starts = np.zeros(total + 1, dtype=np.int64)
+            np.cumsum(np.bincount(codes, minlength=total), out=self._starts[1:])
 
-    def _runs(self, qcells: np.ndarray):
-        """The run of sorted points in each query's cell (exact cell coords).
+    def _runs(self, codes: np.ndarray):
+        """The [left, left + lens) run of ``_order`` holding each cell code.
 
-        Returns (rows, left, lens): the query rows whose cell lies in the
-        grid's extent, in order, and the [left, left + lens) run of ``_order``
-        holding that cell's points (lens may be 0).
+        ``codes`` must lie in the grid's extent; lens may be 0. A nonempty
+        index whose code range is at most 8 cells per point plus 4096 reads
+        each run from its start table, ``_starts[code]`` to
+        ``_starts[code + 1]``; any other index finds it by two binary
+        searches on the sorted codes. Both give the same runs. The table
+        path adds 1 to ``codes`` in place.
         """
-        valid = np.all((qcells >= self._mins) & (qcells < self._mins + self._extents),
-                       axis=1)
-        rows = np.nonzero(valid)[0]
-        codes = (qcells[rows] - self._mins) @ self._strides
-        left = np.searchsorted(self._codes, codes, side="left")
-        lens = np.searchsorted(self._codes, codes, side="right") - left
-        return rows, left, lens
+        if self._starts is None:
+            left = np.searchsorted(self._codes, codes, side="left")
+            lens = np.searchsorted(self._codes, codes, side="right") - left
+        else:
+            left = np.take(self._starts, codes)
+            codes += 1
+            lens = np.take(self._starts, codes)
+            lens -= left
+        return left, lens
+
+    def _lookups(self, qcells: np.ndarray, offsets: np.ndarray):
+        """The runs of every query cell shifted by every offset.
+
+        qcells is an (M, dim) and offsets a (K, dim) int64 array. Yields
+        (rows, left, lens): the queries whose shifted cell lies in the
+        grid's extent, offsets outermost and then the queries in order, and
+        that cell's ``_runs``. Each query's code is computed once and
+        shifted by each offset's; one lookup serves each slice of at most
+        _PAIR_BLOCK cells (one offset at least).
+        """
+        m = len(qcells)
+        if m == 0:
+            return
+        rel = qcells - self._mins
+        base = rel @ self._strides
+        step = max(1, _PAIR_BLOCK // m)
+        for s in range(0, len(offsets), step):
+            off = offsets[s:s + step]
+            valid = True
+            for d in range(self.dim):
+                cells = rel[:, d] + off[:, d, None]   # (offsets, queries)
+                valid = valid & (cells >= 0) & (cells < self._extents[d])
+            shifts, rows = np.divmod(np.flatnonzero(valid), m)
+            codes = np.take(base, rows)
+            codes += np.take(off @ self._strides, shifts)
+            yield (rows, *self._runs(codes))
 
     def _expand(self, rows, left, lens):
         """(query_row, point_row) for each point of each run, runs in order."""
@@ -158,11 +206,11 @@ class GridIndex:
         return diff
 
     def _offset_runs(self, queries: np.ndarray, radius: float):
-        """Each cell offset's ``_runs`` lookup for the queries, in walk order."""
+        """The walk's run lookups for the queries: ``_lookups`` over the cell
+        offsets within reach of radius, in row-major order."""
         qcells = np.floor(queries / self.cell).astype(np.int64)
-        k = int(np.ceil(radius / self.cell))
-        for off in itertools.product(range(-k, k + 1), repeat=self.dim):
-            yield self._runs(qcells + np.asarray(off, dtype=np.int64))
+        return self._lookups(qcells, _cube(int(np.ceil(radius / self.cell)),
+                                           self.dim))
 
     @staticmethod
     def _candidates(runs) -> int:
@@ -173,14 +221,15 @@ class GridIndex:
         """The pair walk within radius, in blocks of (qrows, prows, diff, keep).
 
         Cell offsets outermost, then query rows in order, each with its
-        cell's points in index order; a block holds whole runs and at most
+        cell's points in index order. A block holds whole (offset, query)
+        runs of one lookup, which may span several offsets, and at most
         _PAIR_BLOCK candidates, unless one run alone is longer. ``diff`` is
         ``points[prows] - queries[qrows]`` and ``keep`` marks the rows whose
         ``_sq_norms`` is <= radius**2. ``queries`` is an (M, dim) float
         array. ``runs`` lends the walk's lookups, ``_offset_runs(queries,
         radius)`` read into a list, to a caller that sizes its output by
-        their ``_candidates`` first; by default each offset is looked up as
-        the walk reaches it.
+        their ``_candidates`` first; by default each lookup is made as the
+        walk reaches it.
         """
         if self._order.size == 0:
             return
@@ -252,19 +301,10 @@ class GridIndex:
             k_limit = min(k_limit, int(np.ceil(r_max / self.cell)))
         pending = np.arange(best.size)
         for k in range(0, k_limit + 1):
-            side = np.arange(-k, k + 1)
-            cube = np.stack(np.meshgrid(*[side] * self.dim, indexing="ij"),
-                            axis=-1).reshape(-1, self.dim)
+            cube = _cube(k, self.dim)
             shell = cube[np.max(np.abs(cube), axis=1) == k]
-            pcells = qcells[pending]
-            # one lookup for the shell's offsets x the pending queries, in
-            # slices of at most _PAIR_BLOCK cells (one offset at least)
-            step = max(1, _PAIR_BLOCK // pending.size)
-            for s in range(0, len(shell), step):
-                cells = (pcells + shell[s:s + step, None, :]).reshape(-1, self.dim)
-                rows, left, lens = self._runs(cells)
-                qrows, prows = self._expand(pending[rows % pending.size],
-                                            left, lens)
+            for rows, left, lens in self._lookups(qcells[pending], shell):
+                qrows, prows = self._expand(pending[rows], left, lens)
                 if exclude_self:
                     other = qrows != prows
                     qrows, prows = np.compress(other, qrows), np.compress(other, prows)

@@ -407,32 +407,47 @@ def ref_group_by_cell(locations, cell: float):
 _BALL_SLACK = 1e-9
 
 
+def ref_runs(points, cell: float, cells):
+    """(rows, left, right) of the (M, dim) int cells in a grid on points.
+
+    The reference for ``GridIndex._runs`` behind one lookup: the rows of
+    ``cells`` inside the points' cell extent, in order, and the
+    [left, right) range of each one's cell among the points sorted stably
+    by their ``ref_cell_codes``, found by two binary searches. Returns the
+    sort permutation as well.
+    """
+    codes, mins, extents, strides = ref_cell_codes(points, cell, "cell_size")
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    cells = np.asarray(cells, dtype=np.int64)
+    rows = np.nonzero(np.all((cells >= mins) & (cells < mins + extents),
+                             axis=1))[0]
+    want = (cells[rows] - mins) @ strides
+    left = np.searchsorted(codes, want, side="left")
+    right = np.searchsorted(codes, want, side="right")
+    return rows, left, right, order
+
+
 def ref_pairs_within(points, cell: float, queries, radius: float):
     """(query_row, point_row) pairs within radius, enumerated in one shot.
 
     The reference for ``GridIndex.pairs_within``: the points sorted stably
     by their ``ref_cell_codes``, then for each cell offset every query row
-    in order with its offset cell's points in sorted order, all candidates
-    of an offset expanded at once and tested by their squared distance.
+    in order with its offset cell's points in sorted order (``ref_runs``),
+    all candidates of an offset expanded at once and tested by their
+    squared distance.
     """
     points = np.asarray(points, dtype=float)
     queries = np.asarray(queries, dtype=float)
     e = np.empty(0, dtype=np.int64)
     if len(points) == 0:
         return e, e
-    codes, mins, extents, strides = ref_cell_codes(points, cell, "cell_size")
-    order = np.argsort(codes, kind="stable")
-    codes = codes[order]
     qcells = np.floor(queries / cell).astype(np.int64)
     k = int(np.ceil(radius / cell))
     out_q, out_p = [e], [e]
     for off in itertools.product(range(-k, k + 1), repeat=points.shape[1]):
-        cells = qcells + np.asarray(off, dtype=np.int64)
-        rows = np.nonzero(np.all((cells >= mins) & (cells < mins + extents),
-                                 axis=1))[0]
-        want = (cells[rows] - mins) @ strides
-        left = np.searchsorted(codes, want, side="left")
-        right = np.searchsorted(codes, want, side="right")
+        rows, left, right, order = ref_runs(
+            points, cell, qcells + np.asarray(off, dtype=np.int64))
         qrows = np.repeat(rows, right - left)
         prows = order[np.concatenate(
             [np.arange(a, b) for a, b in zip(left, right)] + [e])]

@@ -11,9 +11,10 @@ run. It only reads ``perfbench/``.
 A span that exists but never runs also makes a traced run incorrect. The
 last tests count calls, through the module attributes the tracer rebinds,
 to the scale-metric spans on the two operations of ``verify_corpus``
-(``verify``'s pseudo-metric check and a small ``dtilde``), and to every
-span that ``octagonal_2d`` does not exempt, on a small 2D model set taken
-through the same three commands.
+(``verify``'s pseudo-metric check and a small ``dtilde``), to every span
+that ``octagonal_2d`` does not exempt, on a small 2D model set taken
+through the same three commands, and to every span that ``palm_mc`` does
+not exempt, on its six operations at small sample counts.
 """
 
 import importlib
@@ -176,4 +177,29 @@ def test_octagonal_commands_run_every_unexempt_span(monkeypatch, tmp_path):
         assert cli.main(["generate", "--config", gen, "--out", out]) == 0
     assert cli.main(["autocorr", points, "--config", ac, "--out", out]) == 0
     assert cli.main(["diffract", points, "--config", df, "--out", out]) == 0
+    assert [s for s, n in counts.items() if n == 0] == [], counts
+
+
+def test_palm_operations_run_every_unexempt_span(monkeypatch, tmp_path):
+    # the six palm_mc operations on the workload's own processes and
+    # regions, at small sample counts
+    ak = importlib.import_module("apkit")
+    layers = json.loads((PERFBENCH / "layers.json").read_text())
+    spans = [s for s in _metric_spans()
+             if s not in layers["not_reached"]["palm_mc"]]
+    assert "gridindex.pairs_within" in spans
+    w = workloads.PalmMC(0, str(tmp_path))
+    spacing = (2.0 + workloads.GOLDEN) ** 0.5 / workloads.GOLDEN ** 2
+    counts = _count_spans(monkeypatch, spans)
+    ak.palm_intensity(w.lattice_1d, w.A_1d, n_samples=4)
+    ak.palm_intensity(w.matern_1d, w.A_matern_1d, n_samples=4)
+    ak.palm_intensity(w.matern_2d, w.A_matern_2d, n_samples=4)
+    ak.verify_acpalm(w.lattice_2d, w.A_2d, w.acpalm_radii, n_seeds=2,
+                     n_palm_samples=4)
+    ak.event_almost_periods(w.model_set, workloads.EVENT_R, workloads.EVENT_EPS,
+                            w.model_cands, 4, gap_bound=10.0 * spacing,
+                            search_radius=25.0)
+    ak.event_almost_periods(w.lattice_ev, workloads.EVENT_R,
+                            workloads.EVENT_EPS, w.lattice_cands, 4,
+                            gap_bound=2.0, search_radius=5.0)
     assert [s for s, n in counts.items() if n == 0] == [], counts

@@ -6,6 +6,7 @@ import pytest
 
 import apkit as ak
 import oracles
+from apkit import gridindex
 from apkit.gridindex import GridIndex, _cell_codes, _sq_norms
 
 
@@ -70,6 +71,120 @@ def test_sq_norms_equal_numpy_row_sums(dim):
 
 
 # ---------------------------------------------------------------------------
+# run lookups: the start table against binary searches on the sorted codes
+
+
+def record_table_paths(monkeypatch) -> list:
+    """Record, per ``_runs`` call, whether it reads the start table."""
+    paths = []
+    original = GridIndex._runs
+
+    def recording(self, codes):
+        paths.append(self._starts is not None)
+        return original(self, codes)
+
+    monkeypatch.setattr(GridIndex, "_runs", recording)
+    return paths
+
+
+def cells_around(pts, cell):
+    """Every point's cell, the extent's first and last cells, and cells
+    just outside the extent on every side."""
+    cells = np.floor(pts / cell).astype(np.int64)
+    lo, hi = cells.min(axis=0), cells.max(axis=0)
+    return np.concatenate([cells, [lo, hi, lo - 1, hi + 1],
+                           np.diag(hi - lo + 1) + lo, np.diag(lo - hi - 1) + hi])
+
+
+def assert_lookups_match_reference(grid, pts, cell, qcells, offsets):
+    got = list(grid._lookups(qcells, offsets))
+    step = max(1, gridindex._PAIR_BLOCK // len(qcells))
+    assert len(got) == -(-len(offsets) // step)
+    want = [oracles.ref_runs(pts, cell, qcells + off) for off in offsets]
+    rows, left, lens = (np.concatenate(parts) for parts in zip(*got))
+    assert np.array_equal(rows, np.concatenate([w[0] for w in want]))
+    assert np.array_equal(left, np.concatenate([w[1] for w in want]))
+    assert np.array_equal(lens, np.concatenate([w[2] - w[1] for w in want]))
+    return lens
+
+
+def dense_and_sparse(dim, sparse):
+    """60 points in [-4, 4]**dim, one at the corner of their extent; with
+    sparse, every other point moves 1e4 along the first axis."""
+    rng = np.random.default_rng(dim + 10 * sparse)
+    pts = rng.uniform(-4.0, 4.0, size=(60, dim))
+    pts[-1] = pts.max(axis=0)   # the extent's last cell holds a point
+    if sparse:
+        pts[::2, 0] += 1e4
+    return pts
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("sparse", [False, True], ids=["table", "search"])
+def test_runs_match_binary_search_on_both_sides(monkeypatch, pair_block, dim,
+                                                 sparse):
+    pts = dense_and_sparse(dim, sparse)
+    grid = GridIndex(pts, 1.0)
+    paths = record_table_paths(monkeypatch)
+    qcells = cells_around(pts, 1.0)
+    lens = assert_lookups_match_reference(grid, pts, 1.0, qcells,
+                                          gridindex._cube(1, dim))
+    assert lens.sum() > 0 and paths and set(paths) == {not sparse}
+    if not sparse:
+        # the last cell's run ends at the table's final entry
+        last = np.array([len(grid._starts) - 2])
+        assert grid._runs(last)[1][0] > 0
+        assert grid._starts[-1] == len(pts)
+    queries = np.concatenate([pts, np.random.default_rng(dim).uniform(
+        -9.0, 9.0, size=(40, dim))])
+    for radius in (0.4, 1.0, 2.0):
+        assert_same_pairs(grid.pairs_within(queries, radius),
+                          oracles.ref_pairs_within(pts, 1.0, queries, radius))
+    for r_max in (math.inf, 2.0):
+        assert np.array_equal(grid.nn_d2(queries, r_max),
+                              oracles.brute_nn_d2(pts, queries, r_max))
+    assert np.array_equal(grid.nn_d2(pts, exclude_self=True),
+                          oracles.brute_nn_d2(pts, pts, exclude_self=True))
+    assert set(paths) == {not sparse}
+
+
+@pytest.mark.parametrize("far, table", [(4111.5, True), (4112.5, False)])
+def test_start_table_rule_at_its_bound(monkeypatch, far, table):
+    # two points, cell 1: a code range of 4112 = 8 * 2 + 4096 cells or one more
+    pts = np.array([[0.5], [far]])
+    grid = GridIndex(pts, 1.0)
+    paths = record_table_paths(monkeypatch)
+    qcells = cells_around(pts, 1.0)
+    assert_lookups_match_reference(grid, pts, 1.0, qcells, gridindex._cube(1, 1))
+    assert_same_pairs(grid.pairs_within(pts, 1.0),
+                      oracles.ref_pairs_within(pts, 1.0, pts, 1.0))
+    assert np.array_equal(grid.nn_d2(pts, exclude_self=True),
+                          oracles.brute_nn_d2(pts, pts, exclude_self=True))
+    assert set(paths) == {table}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_runs_of_an_empty_and_a_one_point_index(dim):
+    queries = np.arange(3.0 * dim).reshape(3, dim) - 1.0
+    empty = GridIndex(np.zeros((0, dim)), 1.0)
+    assert empty._starts is None
+    for *_, lens in empty._lookups(np.zeros((3, dim), np.int64),
+                                   gridindex._cube(1, dim)):
+        assert not lens.any()
+    assert empty.pairs_within(queries, 2.0)[0].size == 0
+    assert np.all(np.isinf(empty.nn_d2(queries)))
+    pts = np.full((1, dim), 0.25)
+    one = GridIndex(pts, 1.0)
+    assert np.array_equal(one._starts, [0, 1])
+    lens = assert_lookups_match_reference(one, pts, 1.0, cells_around(pts, 1.0),
+                                          gridindex._cube(1, dim))
+    assert lens.sum() > 0
+    assert_same_pairs(one.pairs_within(queries, 2.0),
+                      oracles.ref_pairs_within(pts, 1.0, queries, 2.0))
+    assert np.array_equal(one.nn_d2(queries), oracles.brute_nn_d2(pts, queries))
+
+
+# ---------------------------------------------------------------------------
 # the blocked pair walk against the one-shot enumeration, bit for bit
 
 
@@ -105,20 +220,33 @@ def test_pair_walk_blocks_hold_whole_runs(pair_block, dim):
     for qrows, prows, diff, keep in blocks:
         assert np.array_equal(diff, pts[prows] - pts[qrows])
         assert np.array_equal(keep, np.sum(diff ** 2, axis=1) <= 1.5 ** 2)
-        assert np.all(np.diff(qrows) >= 0)
-        assert len(qrows) <= pair_block or qrows[0] == qrows[-1]
-    # no query's run is split between two blocks
-    for (q1, *_), (q2, *_) in zip(blocks, blocks[1:]):
-        assert q1[-1] != q2[0]
-    # lent lookups size the walk and give the same blocks
     runs = list(grid._offset_runs(pts, 1.5))
+    # the blocks expand the (offset, query) runs of the lookups in order ...
+    want = np.concatenate([np.repeat(rows, lens) for rows, _, lens in runs])
+    assert np.array_equal(np.concatenate([q for q, *_ in blocks]), want)
+    # ... and end only where a nonempty run ends, never inside one
+    lens = np.concatenate([lens for *_, lens in runs])
+    run_ends = np.cumsum(lens)[lens > 0]
+    block_ends = np.cumsum([len(q) for q, *_ in blocks])
+    assert np.all(np.isin(block_ends, run_ends))
+    # a block over pair_block candidates holds one run alone
+    starts = np.concatenate([[0], block_ends[:-1]])
+    for a, b in zip(starts, block_ends):
+        n_runs = np.count_nonzero((run_ends > a) & (run_ends <= b))
+        assert b - a <= pair_block or n_runs == 1
+    # lent lookups size the walk and give the same blocks
     assert grid._candidates(runs) == sum(len(q) for q, *_ in blocks)
     lent = list(grid._blocks(pts, 1.5, runs))
     assert len(lent) == len(blocks)
     for got, want in zip(lent, blocks):
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    # more blocks than the 3**dim cell offsets
-    assert (len(blocks) > 3 ** dim) == (pair_block == 7)
+    # the kept rows, block after block, are the one-shot enumeration
+    kept = [np.concatenate([np.compress(k, b[i]) for *b, _, k in blocks])
+            for i in (0, 1)]
+    assert_same_pairs(kept, oracles.ref_pairs_within(pts, 1.5, pts, 1.5))
+    # at the default block one lookup and one block span all 3**dim offsets
+    assert (len(runs), len(blocks) == 1) == ((1, True) if pair_block != 7
+                                             else (3 ** dim, False))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
