@@ -51,7 +51,8 @@ VERDICTS = ("pass", "fail", "inconclusive")
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-#: largest number of complex exponentials held in one block of a Fourier sum
+#: largest number of complex exponentials held in one block of a Fourier sum;
+#: a 1D grid's fine factor is capped at it too
 _EXP_BLOCK = 4_000_000
 
 #: largest number of nodes in a k grid or an appd candidate grid
@@ -129,25 +130,39 @@ def _grid_fourier_sums(P: np.ndarray, k_grid: KGrid) -> np.ndarray:
     exponentials. Axes 0 .. dim-2 are folded by elementwise products into
     rows in row-major node order, and the last axis is contracted with one
     matrix product. Axis-0 rows are taken in blocks so that no folded block
-    exceeds _EXP_BLOCK elements. In 1D the sums are the row sums of the
-    axis-0 factor, the same expression as _fourier_sums.
+    exceeds _EXP_BLOCK elements.
+
+    A 1D grid of N nodes is split the same way into Q x B nodes: B is
+    ceil(sqrt(N)), capped so that the B x n fine factor fits in _EXP_BLOCK,
+    and Q = ceil(N / B). Node q*B + m is the grid node k_{qB} plus the
+    offset m * step, so the sums cost about (Q + B) * n exponentials, not
+    N * n, and the Q*B - N sums past the last node are dropped. fl(m * step)
+    re-rounds a node by up to one ulp, so these sums are not bit for bit
+    those of _fourier_sums at nodes(): against the float nodes they err a
+    few times more. Against the exact nodes lo + j*step both stay within
+    2 * 2 pi * 2**-53 * max|k| * sum|x|.
     """
-    shape = k_grid.shape()
-    out = np.zeros((shape[0], math.prod(shape[1:])), dtype=complex)
+    N = math.prod(k_grid.shape())
     n = len(P)
     if n == 0:
-        return out.reshape(-1)
-    factors = [np.exp(-2j * np.pi * np.outer(k_grid.axis(d), P[:, d]))
-               for d in range(1, k_grid.dim)]
+        return np.zeros(N, dtype=complex)
+    axes = [k_grid.axis(d) for d in range(k_grid.dim)]
+    coords = [P[:, d] for d in range(k_grid.dim)]
+    if k_grid.dim == 1:
+        B = min(math.isqrt(N - 1) + 1, max(1, _EXP_BLOCK // n))
+        axes = [axes[0][::B], k_grid.step * np.arange(B)]
+        coords *= 2     # both factors are exponentials of the one coordinate
+    shape = [len(a) for a in axes]
+    out = np.zeros((shape[0], math.prod(shape[1:])), dtype=complex)
+    factors = [np.exp(-2j * np.pi * np.outer(a, x))
+               for a, x in zip(axes[1:], coords[1:])]
     chunk = max(1, _EXP_BLOCK // (math.prod(shape[1:-1]) * n))
-    axis0 = k_grid.axis(0)
     for s in range(0, shape[0], chunk):
-        rows = np.exp(-2j * np.pi * np.outer(axis0[s:s + chunk], P[:, 0]))
+        rows = np.exp(-2j * np.pi * np.outer(axes[0][s:s + chunk], coords[0]))
         for E in factors[:-1]:
             rows = (rows[:, None, :] * E[None, :, :]).reshape(-1, n)
-        sums = rows @ factors[-1].T if factors else np.sum(rows, axis=1)
-        out[s:s + chunk] = sums.reshape(-1, out.shape[1])
-    return out.reshape(-1)
+        out[s:s + chunk] = (rows @ factors[-1].T).reshape(-1, out.shape[1])
+    return out.reshape(-1)[:N]
 
 
 def fourier_sum(S: PointSet, R: float, k) -> complex:

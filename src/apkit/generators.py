@@ -487,7 +487,7 @@ class ProcessSampler:
     kind selects the construction; identical (kind, parameters, seed)
     reproduce identical samples. sample(p, index) uses a counter-based
     stream jumped per index, so samples are independent and reproducible
-    out of order.
+    out of order; an index is an integer in [0, 2**128).
     """
 
     kind: str
@@ -558,8 +558,23 @@ class ProcessSampler:
         )
 
 
-def _rng(p: ProcessSampler, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=p.seed).jumped(index))
+def _rng(p: ProcessSampler, index) -> np.random.Generator:
+    """The stream of sample index: Philox(key=seed) jumped index times.
+
+    A jump adds 2**128 to the 256-bit counter, so the stream starts at
+    counter index << 128 and is built without jumping. Counters wrap at
+    2**256, so an index must lie in [0, 2**128).
+    """
+    import operator
+
+    try:
+        index = operator.index(index)
+    except TypeError:
+        raise InvalidArgument(
+            f"sample index must be an integer, not {index!r}") from None
+    if not 0 <= index < 2 ** 128:
+        raise InvalidArgument(f"sample index {index} is outside [0, 2**128)")
+    return np.random.Generator(np.random.Philox(key=p.seed, counter=index << 128))
 
 
 def _uniform_in_ball(rng: np.random.Generator, n: int, dim: int,

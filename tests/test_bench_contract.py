@@ -13,8 +13,9 @@ last tests count calls, through the module attributes the tracer rebinds,
 to the scale-metric spans on the two operations of ``verify_corpus``
 (``verify``'s pseudo-metric check and a small ``dtilde``), to every span
 that ``octagonal_2d`` does not exempt, on a small 2D model set taken
-through the same three commands, and to every span that ``palm_mc`` does
-not exempt, on its six operations at small sample counts.
+through the same three commands, to every span that ``palm_mc`` does
+not exempt, on its six operations at small sample counts, and to every
+span that ``verify_corpus`` does not exempt, on its two operations.
 """
 
 import importlib
@@ -202,4 +203,19 @@ def test_palm_operations_run_every_unexempt_span(monkeypatch, tmp_path):
     ak.event_almost_periods(w.lattice_ev, workloads.EVENT_R,
                             workloads.EVENT_EPS, w.lattice_cands, 4,
                             gap_bound=2.0, search_radius=5.0)
+    assert [s for s, n in counts.items() if n == 0] == [], counts
+
+
+def test_verify_operations_run_every_unexempt_span(monkeypatch, tmp_path):
+    # verify_corpus's two operations as the workload runs them; the four 1D
+    # periodograms of criterion_coherence reach the diffraction spans
+    layers = json.loads((PERFBENCH / "layers.json").read_text())
+    spans = [s for s in _metric_spans()
+             if s not in layers["not_reached"]["verify_corpus"]]
+    assert {"diffraction.periodogram",
+            "diffraction.detect_bragg_peaks"} <= set(spans)
+    w = workloads.VerifyCorpus(0, str(tmp_path))
+    counts = _count_spans(monkeypatch, spans)
+    for op, call in w.operations():
+        assert w.check(op, call()) is None, op
     assert [s for s, n in counts.items() if n == 0] == [], counts

@@ -111,6 +111,20 @@ def test_generate_sampler_index_selects_samples(tmp_path, capsys):
         (out_b / "points.csv").read_bytes()
 
 
+@pytest.mark.parametrize("index", ["-1", str(2 ** 128)])
+def test_generate_rejects_an_index_outside_the_streams(tmp_path, capsys,
+                                                       index):
+    # 2**128 wrapped to sample 0's stream, and -1 skipped the schema
+    cfg = write_config(tmp_path, {
+        "sampler": {"kind": "matern_II", "seed": 3, "window_radius": 15.0,
+                    "intensity": 1.0, "hardcore": 0.5}})
+    out = tmp_path / "out"
+    code, doc = run(capsys, "generate", "--config", cfg, "--index", index,
+                    "--out", str(out))
+    assert (code, doc) == (2, None)
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_generate_requires_exactly_one_source(tmp_path, capsys):
     code, _ = run(capsys, "generate", "--out", str(tmp_path))
     assert code == 2

@@ -125,12 +125,19 @@ def brute_grid_sums(P, g: ak.KGrid) -> np.ndarray:
 
 
 # shapes (17, 6), (1, 9), (11, 8, 1) and (5, 1, 7): no two axes alike, and
-# single-node axes first, last and in the middle
+# single-node axes first, last and in the middle; then 1D grids of N = 1, 13
+# (prime), 25 (B**2) and 26 (B**2 + 1) nodes, split into Q coarse rows of B
+# nodes. At _EXP_BLOCK = 150 and 40 points B is capped at 3 and the coarse
+# rows come in blocks of 3, the last one partial.
 ORACLE_GRIDS = [
     ([-0.7, 0.1], [0.9, 0.6], 0.1),
     ([0.3, -0.4], [0.3, 0.4], 0.1),
     ([-0.5, -0.3, 0.2], [0.5, 0.4, 0.2], 0.1),
     ([-0.4, 0.25, -0.3], [0.4, 0.25, 0.3], 0.2),
+    ([0.3], [0.3], 0.1),
+    ([-0.6], [0.6], 0.1),
+    ([-1.2], [1.2], 0.1),
+    ([-1.2], [1.3], 0.1),
 ]
 
 
@@ -143,9 +150,21 @@ def test_grid_fourier_sums_match_brute(monkeypatch, lo, hi, step, block):
     if block is not None:
         # blocks of a few axis-0 rows, the last one partial
         monkeypatch.setattr(diffraction, "_EXP_BLOCK", block)
+    want = brute_grid_sums(P, g)
+    sizes, exp = [], np.exp
+    monkeypatch.setattr(np, "exp", lambda z: sizes.append(z.size) or exp(z))
     got = _grid_fourier_sums(P, g)
-    assert got.shape == (int(np.prod(g.shape())),)
-    assert np.max(np.abs(got - brute_grid_sums(P, g))) <= 1e-12 * len(P)
+    monkeypatch.setattr(np, "exp", exp)
+    N = int(np.prod(g.shape()))
+    assert got.shape == (N,)
+    assert np.max(np.abs(got - want)) <= 1e-12 * len(P)
+    if g.dim > 1:
+        assert sum(sizes) == sum(g.shape()) * len(P)
+    else:
+        # coarse blocks and the capped fine factor: about 2 sqrt(N) * n
+        assert max(sizes) <= diffraction._EXP_BLOCK
+        if block is None:
+            assert sum(sizes) <= 2 * (math.isqrt(N) + 1) * len(P)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -156,17 +175,25 @@ def test_grid_fourier_sums_empty_set_is_zero(dim):
     assert np.all(got == 0.0)
 
 
-@pytest.mark.parametrize("n", [60, 1001])
-@pytest.mark.parametrize("block", [None, 5000])
-def test_grid_fourier_sums_1d_equal_fourier_sums_bytewise(monkeypatch, n,
-                                                          block):
+@pytest.mark.parametrize("n", [60, 400])
+def test_1d_fourier_sums_near_exact_nodes(n):
+    # reference: the sums at the exact nodes lo + j*step, in 40 digits; the
+    # split path re-rounds a node by m*step, the direct path by lo + j*step
+    mpmath = pytest.importorskip("mpmath")
     rng = np.random.Generator(np.random.Philox(key=37))
-    P = rng.uniform(-n / 2.0, n / 2.0, size=(n, 1))
-    g = ak.KGrid([-1.5], [1.5], 1.0 / 256.0)
-    if block is not None:
-        monkeypatch.setattr(diffraction, "_EXP_BLOCK", block)
-    got = _grid_fourier_sums(P, g)
-    assert got.tobytes() == _fourier_sums(P, g.nodes()).tobytes()
+    P = rng.uniform(-300.0, 300.0, size=(n, 1))
+    # 101 nodes that are not dyadic, so both paths round them
+    g = ak.KGrid([-1.3], [1.7], 0.03)
+    N = g.shape()[0]
+    with mpmath.workdps(40):
+        ks = [mpmath.mpf(float(g.lo[0])) + mpmath.mpf(g.step) * j
+              for j in range(N)]
+        xs = [mpmath.mpf(float(x)) for x in P[:, 0]]
+        want = np.array([complex(mpmath.fsum(mpmath.expjpi(-2 * k * x)
+                                             for x in xs)) for k in ks])
+    bound = 2 * 2 * math.pi * 2.0 ** -53 * 1.7 * np.sum(np.abs(P))
+    assert np.max(np.abs(_grid_fourier_sums(P, g) - want)) <= bound
+    assert np.max(np.abs(_fourier_sums(P, g.nodes()) - want)) <= bound
 
 
 # ---------------------------------------------------------------------------

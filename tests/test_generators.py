@@ -431,6 +431,27 @@ def test_sampler_reproducible_and_index_dependent(make):
     assert not (len(a) == len(c) and np.array_equal(a.points, c.points))
 
 
+@pytest.mark.parametrize("index", [0, 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64,
+                                   2 ** 128 - 1])
+def test_sample_stream_is_the_jumped_stream(index):
+    p = matern_sampler(7)
+    want = np.random.Philox(key=p.seed).jumped(index).state
+    np.testing.assert_equal(generators._rng(p, index).bit_generator.state,
+                            want)
+
+
+def test_sample_accepts_a_numpy_integer_index():
+    p = matern_sampler(7)
+    assert np.array_equal(ak.sample(p, np.int64(3)).points,
+                          ak.sample(p, 3).points)
+
+
+@pytest.mark.parametrize("index", [-1, 2 ** 128, 1.0, "1"])
+def test_sample_rejects_an_index_outside_the_streams(index):
+    with pytest.raises(ak.InvalidArgument, match="index"):
+        ak.sample(matern_sampler(7), index)
+
+
 def test_randomized_lattice_keeps_unit_gaps():
     chi = ak.sample(lattice_sampler(11), 0)
     gaps = np.diff(chi.points[:, 0])
