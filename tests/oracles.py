@@ -471,3 +471,19 @@ def ref_pair_differences(S, R: float, cutoff: float, r: float):
     qi, pi = ref_pairs_within(P, max(cutoff, S.hardcore_radius), P, cutoff)
     inside = norms[in_R] <= r * (1.0 + _BALL_SLACK)
     return qi, pi, P[pi] - P[qi], inside[qi] & inside[pi]
+
+
+def ref_profile(locations, weights, shape: str, rho: float, amp: float,
+                center, probes) -> np.ndarray:
+    """sum_j w_j * f(u - x_j) at each probe u, f the bump centered at center.
+
+    A dense double loop over (probe, atom); each probe's terms are added
+    with math.fsum.
+    """
+    probes = np.asarray(probes, dtype=float)
+    center = np.asarray(center, dtype=float)
+    locs = np.asarray(locations, dtype=float).reshape(-1, center.size)
+    return np.array([
+        math.fsum(w * brute_bump(shape, rho, amp, u - x - center)
+                  for x, w in zip(locs, weights))
+        for u in probes])

@@ -7,6 +7,7 @@ import apkit as ak
 import oracles
 from apkit import diffraction
 from apkit.diffraction import _fourier_sums, _grid_fourier_sums
+from apkit.gridindex import GridIndex
 from test_generators import octagonal_config
 
 
@@ -588,3 +589,146 @@ def test_bohr_gap_exceeding_bound_fails():
     assert sorted(rep.almost_period_set[:, 0]) == [0.0]
     assert rep.verdict == "fail"
     assert rep.gap == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# the smoothed profile behind BOHR
+
+PROFILE_SHAPES = ["triangle_bump", "cosine_bump"]
+
+
+def profile_atoms(case: str):
+    """1D (locations, weights) for the profile oracle, deliberately unsorted.
+
+    With h = 0.25 and center 0.375, "mixed" puts atoms exactly at distance 0
+    (1.125) and h (0.875, 1.375) from the probe 1.5 - center, among random
+    atoms of both signs.
+    """
+    rng = np.random.default_rng(29)
+    if case == "mixed":
+        x = np.concatenate([[1.375, -2.0, 1.125, 0.875],
+                            rng.uniform(-3.0, 3.0, 60)])
+        return x, rng.uniform(0.1, 2.0, len(x))
+    if case == "far":
+        x = 1000.3 + rng.uniform(-2.0, 2.0, 40)
+        return x, rng.uniform(0.1, 2.0, len(x))
+    if case == "one":
+        return np.array([0.625]), np.array([1.7])
+    return np.empty(0), np.empty(0)
+
+
+def profile_bound(mu, f, probes) -> np.ndarray:
+    """`_profile`'s stated 1D rounding bound at each probe."""
+    x = mu.locations[:, 0]
+    if len(x) == 0:
+        return np.zeros(len(probes))
+    x0 = 0.5 * (x[0] + x[-1])
+    u = np.abs(probes[:, 0] - f.center[0])
+    h = f.support_radius
+    scale = (np.sum(mu.weights * np.abs(x - x0))
+             + np.sum(mu.weights) * (u + h))
+    return 8.0 * 2.0 ** -53 * (len(x) + 2) * abs(f.amplitude) / h * scale
+
+
+@pytest.mark.parametrize("case", ["mixed", "far", "one", "empty"])
+@pytest.mark.parametrize("shape", PROFILE_SHAPES)
+def test_profile_1d_matches_dense_oracle(shape, case):
+    x, w = profile_atoms(case)
+    mu = make_measure(x, w, bin_tol=1e-6)
+    f = ak.TestFunction(shape, 0.25, 0.75, [0.375])
+    base = 1000.0 if case == "far" else 0.0
+    probes = (base + np.arange(-3.5, 3.5 + 1e-9, 0.03125)).reshape(-1, 1)
+    index = diffraction._profile_index(mu, f)
+    assert not isinstance(index, GridIndex)
+    got = diffraction._profile(mu, f, index, probes)
+    want = oracles.ref_profile(x, w, shape, 0.25, 0.75, [0.375], probes)
+    assert np.all(np.abs(got - want) <= profile_bound(mu, f, probes))
+    if case == "mixed":
+        # the probe 1.5 is among the probes and reaches the atom at distance 0
+        assert want[np.flatnonzero(probes[:, 0] == 1.5)[0]] >= 0.75 * w[2]
+
+
+@pytest.mark.parametrize("shape", PROFILE_SHAPES)
+def test_profile_2d_walk_matches_dense_oracle(pair_block, shape):
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-2.0, 2.0, (50, 2))
+    w = rng.uniform(0.1, 2.0, 50)
+    mu = ak.WeightedAtomMeasure(2, x, w, 1e-4)
+    f = ak.TestFunction(shape, 0.5, 1.25, [0.3, -0.2])
+    axis = np.arange(-2.5, 2.5 + 1e-9, 0.125)
+    probes = np.stack(np.meshgrid(axis, axis, indexing="ij"),
+                      axis=-1).reshape(-1, 2)
+    index = diffraction._profile_index(mu, f)
+    assert isinstance(index, GridIndex)
+    got = diffraction._profile(mu, f, index, probes)
+    want = oracles.ref_profile(mu.locations, mu.weights, shape, 0.5, 1.25,
+                               [0.3, -0.2], probes)
+    assert np.max(np.abs(got)) > 1.0
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_bohr_walks_pairs_only_in_two_dimensions(monkeypatch, dim):
+    """A 1D BOHR reads prefix sums: no GridIndex and no pair walk."""
+    axis = np.arange(-4.0, 4.5)
+    if dim == 1:
+        locs = axis.reshape(-1, 1)
+    else:
+        locs = np.stack(np.meshgrid(axis, axis, indexing="ij"),
+                        axis=-1).reshape(-1, 2)
+    mu = ak.WeightedAtomMeasure(dim, locs, np.ones(len(locs)), 1e-3)
+    f = ak.TestFunction("triangle_bump", 0.2, 1.0, np.zeros(dim))
+    probes = np.zeros((1, dim)) + np.linspace(-1.0, 1.0, 41).reshape(-1, 1)
+    cands = np.zeros((3, dim))
+    cands[1, 0], cands[2, 0] = 1.0, 0.5
+    counts = {"build": 0, "pairs_within": 0}
+    init, pairs = GridIndex.__init__, GridIndex.pairs_within
+
+    def counting_init(self, *args, **kwargs):
+        counts["build"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_pairs(self, *args, **kwargs):
+        counts["pairs_within"] += 1
+        return pairs(self, *args, **kwargs)
+
+    monkeypatch.setattr(GridIndex, "__init__", counting_init)
+    monkeypatch.setattr(GridIndex, "pairs_within", counting_pairs)
+    rep = ak.bohr_test_mu_conv_f(mu, f, 0.05, cands, probes, gap_bound=5.0)
+    assert sorted(rep.almost_period_set[:, 0]) == [0.0, 1.0]
+    if dim == 1:
+        assert counts == {"build": 0, "pairs_within": 0}
+    else:
+        assert counts["build"] >= 1
+        assert counts["pairs_within"] == 1 + len(cands)
+
+
+def probe_grid(case: str, dim: int):
+    good = np.zeros((3, dim)) + np.array([[-1.0], [0.0], [1.0]])
+    if case == "no_rows":
+        return np.empty((0, dim))
+    if case == "empty_list":
+        return []
+    if case in ("nan", "inf"):
+        good[1, dim - 1] = math.nan if case == "nan" else -math.inf
+        return good
+    if case == "ragged":
+        return [[0.0] * dim, [0.0] * (dim + 1)]
+    return np.zeros((3, dim + 1))
+
+
+@pytest.mark.parametrize("case, error, match", [
+    ("no_rows", ak.InvalidArgument, "no rows"),
+    ("empty_list", ak.InvalidArgument, "no rows"),
+    ("nan", ak.InvalidArgument, "finite"),
+    ("inf", ak.InvalidArgument, "finite"),
+    ("ragged", ak.InvalidArgument, "one length"),
+    ("other_dim", ak.DimensionMismatch, "dimension"),
+])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_bohr_probe_grid_contract(dim, case, error, match):
+    mu = ak.WeightedAtomMeasure(dim, np.zeros((1, dim)), [1.0], 1e-3)
+    f = ak.TestFunction("triangle_bump", 0.2, 1.0, np.zeros(dim))
+    with pytest.raises(error, match=match):
+        ak.bohr_test_mu_conv_f(mu, f, 0.05, np.zeros((1, dim)),
+                               probe_grid(case, dim), gap_bound=1.0)
