@@ -58,7 +58,6 @@ from .autocorr import (
     debias_ball_edge,
     evaluate,
     finite_autocorrelation,
-    hf_functional,
     read_measure_csv,
     write_measure_csv,
 )
@@ -120,8 +119,7 @@ __all__ = [
     "AutocorrEstimate", "PairDifferences", "WeightedAtomMeasure",
     "autocorrelation_limit",
     "bin_atoms", "birkhoff_average_hf", "debias_ball_edge", "evaluate",
-    "finite_autocorrelation", "hf_functional", "read_measure_csv",
-    "write_measure_csv",
+    "finite_autocorrelation", "read_measure_csv", "write_measure_csv",
     "BraggPeak", "CriterionReport", "KGrid", "Periodogram", "atom_mass",
     "bohr_test_mu_conv_f", "criterion_almost_periods",
     "criterion_atom_concentration", "criterion_gamma_concentration",

@@ -166,10 +166,14 @@ class WeightedAtomMeasure:
             if np.any(self.weights <= 0):
                 raise InvalidArgument("weights must be strictly positive")
             if len(self.locations) > 1:
-                grid = GridIndex(self.locations, bin_tol)
-                qi, pi = grid.pairs_within(self.locations,
-                                           bin_tol * (1.0 - 1e-9))
-                if np.any(qi != pi):
+                try:
+                    grid = GridIndex(self.locations, bin_tol)
+                except InvalidArgument:
+                    # the locations are finite, so bin_tol is too fine
+                    raise InvalidArgument(
+                        "bin_tol too fine for the coordinate extent") from None
+                if np.any(grid.count_within(self.locations,
+                                            bin_tol * (1.0 - 1e-9)) > 1):
                     raise InvalidArgument("atoms closer than bin_tol")
 
     def __len__(self) -> int:
@@ -221,9 +225,8 @@ class WeightedAtomMeasure:
         if len(self) == 0:
             return True
         grid = GridIndex(self.locations, max(self.bin_tol, 1e-12))
-        qi, pi = grid.pairs_within(-self.locations, self.bin_tol)
-        matched_w = np.zeros(len(self))
-        np.add.at(matched_w, qi, self.weights[pi])
+        matched_w = grid.pair_sums(-self.locations, self.bin_tol,
+                                   lambda q, p: self.weights[p])
         scale = float(np.max(self.weights))
         return bool(np.all(np.abs(matched_w - self.weights) <= rtol * scale))
 
@@ -507,8 +510,8 @@ def autocorrelation_limit(S: PointSet, radii, bin_tol: float | None = None,
         if len(m) == 0 or len(tracked_locs) == 0:
             continue
         grid = GridIndex(m.locations, max(final.bin_tol, m.bin_tol))
-        qi, pi = grid.pairs_within(tracked_locs, final.bin_tol)
-        np.add.at(tracked[:, j], qi, m.weights[pi])
+        tracked[:, j] = grid.pair_sums(tracked_locs, final.bin_tol,
+                                       lambda q, p: m.weights[p])
     ok = all(tail_converged(row, track_rtol) for row in [mass0, *tracked])
     return AutocorrEstimate(
         measure=final,
@@ -529,32 +532,6 @@ def _check_psi(psi: TestFunction) -> None:
             f"weight function integral {total!r} differs from 1 by more than 1e-9")
 
 
-def hf_functional(S: PointSet, psi: TestFunction, f: TestFunction) -> float:
-    """Weighted pair sum: sum over x, y in S of psi(x) f(y - x).
-
-    psi must be a nonnegative unit-integral weight; both supports (and the
-    pair reach) must fit inside the window.
-    """
-    if psi.dim != S.dim or f.dim != S.dim:
-        raise DimensionMismatch("test function dimension differs from the set")
-    _check_psi(psi)
-    _check_reach(psi.support_bound() + f.support_bound(), S.window_radius,
-                 WindowTooSmall, "pair reach")
-    if len(S) == 0:
-        return 0.0
-    sel = psi(S.points) > 0.0
-    X = S.points[sel]
-    if len(X) == 0:
-        return 0.0
-    psi_x = psi(X)
-    grid = S.grid(max(f.support_radius, S.hardcore_radius))
-    qi, pi = grid.pairs_within(X + f.center, f.support_radius)
-    if qi.size == 0:
-        return 0.0
-    contrib = psi_x[qi] * f(S.points[pi] - X[qi])
-    return float(np.sum(contrib))
-
-
 def birkhoff_average_hf(S: PointSet, psi: TestFunction, f: TestFunction,
                         R: float, quad_points: int = 4096) -> float:
     """Ball average over translates t in B_R of the weighted pair sum of S - t.
@@ -570,21 +547,15 @@ def birkhoff_average_hf(S: PointSet, psi: TestFunction, f: TestFunction,
     _check_reach(R + psi.support_bound() + f.support_bound(), S.window_radius,
                  WindowTooSmall, "R plus both supports")
     nodes, _ = _midpoint_grid(R, S.dim, quad_points)
-    if len(S) == 0:
-        return 0.0
     # inner sums F(x) = sum_y f(y - x) for every x that psi can reach
     X = S.ball(R + psi.support_bound())
     grid_all = S.grid(max(f.support_radius, S.hardcore_radius))
-    qi, pi = grid_all.pairs_within(X + f.center, f.support_radius)
-    F = np.zeros(len(X))
-    if qi.size:
-        np.add.at(F, qi, f(S.points[pi] - X[qi]))
+    F = grid_all.pair_sums(X + f.center, f.support_radius,
+                           lambda q, p: f(S.points[p] - X[q]))
     # pair each node t with the points psi(x - t) can see
     grid_x = GridIndex(X, max(psi.support_radius, S.hardcore_radius))
-    ti, xi = grid_x.pairs_within(nodes + psi.center, psi.support_radius)
-    H = np.zeros(len(nodes))
-    if ti.size:
-        np.add.at(H, ti, psi(X[xi] - nodes[ti]) * F[xi])
+    H = grid_x.pair_sums(nodes + psi.center, psi.support_radius,
+                         lambda t, x: psi(X[x] - nodes[t]) * F[x])
     return float(np.mean(H))
 
 

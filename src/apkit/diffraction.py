@@ -460,9 +460,7 @@ def criterion_gamma_concentration(gamma, R: float, eps: float,
     if len(cand) == 0:
         raise NoAtomAtZero("no candidate atoms inside the searched ball")
     grid = GridIndex(mu.locations, max(R, mu.bin_tol))
-    qi, pi = grid.pairs_within(cand, R)
-    mass = np.zeros(len(cand))
-    np.add.at(mass, qi, mu.weights[pi])
+    mass = grid.pair_sums(cand, R, lambda q, p: mu.weights[p])
     return _finish_report("C3_gamma_concentration", eps, cand,
                           mass >= gamma0 - eps, gap_bound, search_radius,
                           converged,
@@ -546,9 +544,9 @@ def _profile(mu: WeightedAtomMeasure, f: TestFunction, index,
     """g(u) = sum of weight * f(u - location) at each query point.
 
     ``index`` is `_profile_index(mu, f)`; callers build it once per measure.
-    In dimensions >= 2 the sum runs over the pairs of a ``pairs_within``
-    walk. In 1D no pair is formed. The atoms within h of u - c (c the
-    bump's center) are one run of the sorted table, found by
+    The sum runs over the atoms within h of u - c (c the bump's center). In
+    dimensions >= 2 it is the index's ``pair_sums``. In 1D no pair is
+    formed: those atoms are one run of the sorted table, found by
     ``searchsorted``, and both bumps have closed forms in prefix-sum
     differences over that run, with v = u - c - x0 and A the amplitude:
     - triangle: split the run at u - c into L and R; then
@@ -561,13 +559,12 @@ def _profile(mu: WeightedAtomMeasure, f: TestFunction, index,
     at most 8 * 2**-53 * (n + 2) * A/h * sum |w| (|x - x0| + |u - c| + h):
     the prefix sums' error.
     """
+    if mu.dim != 1:
+        return index.pair_sums(
+            pts - f.center, f.support_radius,
+            lambda q, p: mu.weights[p] * f(pts[q] - mu.locations[p]))
     out = np.zeros(len(pts))
     if len(mu) == 0 or len(pts) == 0:
-        return out
-    if mu.dim != 1:
-        qi, pi = index.pairs_within(pts - f.center, f.support_radius)
-        if qi.size:
-            np.add.at(out, qi, mu.weights[pi] * f(pts[qi] - mu.locations[pi]))
         return out
     x, x0, sums = index
     h = f.support_radius

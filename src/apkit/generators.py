@@ -396,7 +396,22 @@ def cut_and_project(cfg: CutProjectConfig) -> PointSet:
     or the output ball (``_enumerate_strip``). So the output is faithful in
     its window: enlarging output_radius never changes the points inside the
     smaller radius. The hardcore radius is measured from the output; exact
-    collisions raise NotUniformlyDiscrete.
+    collisions raise NotUniformlyDiscrete. Translates on the window boundary
+    are decided by the half-open convention and warned as a WindowGraze;
+    ``_project_counting_grazes`` returns their count instead.
+    """
+    S, grazes = _project_counting_grazes(cfg)
+    if grazes:
+        warnings.warn(WindowGraze(grazes), stacklevel=2)
+    return S
+
+
+def _project_counting_grazes(cfg: CutProjectConfig) -> tuple[PointSet, int]:
+    """``cut_and_project``'s point set and its WindowGraze count, unwarned.
+
+    The half-open window convention decides grazing translates
+    deterministically, so callers that expect them (the zero-offset golden
+    strip has one at each end) read the count.
 
     The result is not validated again, because every check would pass by
     construction. r is sqrt(min d2) over all pairs, with d2 from
@@ -413,13 +428,11 @@ def cut_and_project(cfg: CutProjectConfig) -> PointSet:
     if findings:
         warnings.warn(
             "no E-basis vector passed the irrationality heuristic: "
-            + "; ".join(findings), stacklevel=2)
+            + "; ".join(findings), stacklevel=3)
     points, grazes = _enumerate_strip(cfg)
-    if grazes:
-        warnings.warn(WindowGraze(grazes), stacklevel=2)
     if len(points) < 2:
         return PointSet(points, cfg.output_radius, max(cfg.output_radius, 1.0),
-                        validate=False)
+                        validate=False), grazes
     spacing_guess = (ball_volume(cfg.physical_dim, cfg.output_radius)
                      / len(points)) ** (1.0 / cfg.physical_dim)
     # two spacings per cell: most points certify their nearest neighbour
@@ -429,27 +442,7 @@ def cut_and_project(cfg: CutProjectConfig) -> PointSet:
     if r <= 1e-12:
         raise NotUniformlyDiscrete(
             "deformation collapsed distinct projections (measured r = 0)")
-    return PointSet(points, cfg.output_radius, r, validate=False)
-
-
-def _project_counting_grazes(cfg: CutProjectConfig) -> tuple[PointSet, int]:
-    """cut_and_project with its WindowGraze counted, not warned.
-
-    The half-open window convention decides grazing translates
-    deterministically, so callers that expect them (the zero-offset golden
-    strip has one at each end) read the count instead. Every other warning
-    is re-emitted.
-    """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        S = cut_and_project(cfg)
-    grazes = 0
-    for c in caught:
-        if isinstance(c.message, WindowGraze):
-            grazes += c.message.count
-        else:
-            warnings.warn_explicit(c.message, c.category, c.filename, c.lineno)
-    return S, grazes
+    return PointSet(points, cfg.output_radius, r, validate=False), grazes
 
 
 def fibonacci_config(output_radius: float,
@@ -615,15 +608,11 @@ def sample(p: ProcessSampler, index: int = 0) -> PointSet:
         trusted = math.sqrt(_process_dim(p)) * reach < 1e5 * r
         return PointSet(pts, W, r, validate=not trusted)
     if p.kind == "randomized_model_set":
-        for _ in range(3):
-            u = rng.random(p.cut_project.n)
-            cfg = replace(p.cut_project, torus_offset=u, output_radius=W)
-            out, grazes = _project_counting_grazes(cfg)
-            if not grazes:
-                return out
-            # measure-zero event: a translate landed exactly on the window
-            # boundary; redraw the offset rather than depend on tie-breaking
-        return out
+        u = rng.random(p.cut_project.n)
+        # a translate on the window boundary is a measure-zero event; the
+        # half-open convention decides it and cut_and_project warns
+        return cut_and_project(
+            replace(p.cut_project, torus_offset=u, output_radius=W))
     if p.kind == "matern_II":
         r = p.hardcore
         buf = W + r
@@ -696,10 +685,11 @@ def _count_diffs_in(chi: PointSet, anchors: np.ndarray, A: RegionSpec) -> int:
     outer = A.outer_radius()
     grid = chi.grid(max(outer, chi.hardcore_radius))
     if A.kind == "ball":
-        qi, pi = grid.pairs_within(anchors + A.center, A.radius)
-        return int(len(qi))
-    qi, pi = grid.pairs_within(anchors, outer)
-    return int(np.count_nonzero(A.contains(chi.points[pi] - anchors[qi])))
+        sums = grid.pair_sums(anchors + A.center, A.radius, lambda q, p: 1.0)
+    else:
+        sums = grid.pair_sums(anchors, outer,
+                              lambda q, p: A.contains(chi.points[p] - anchors[q]))
+    return int(sums.sum())
 
 
 def _at_least_one(**counts: int) -> None:

@@ -9,6 +9,9 @@ slices of at most ``_PAIR_BLOCK`` cells (``_lookups``). All query methods
 are vectorized over query batches and use closed Euclidean balls. Pair
 queries walk their candidates in blocks of at most ``_PAIR_BLOCK``
 (``_blocks``), so a walk's working set does not grow with its pair count.
+``pair_sums`` is the one per-query reduction over that walk: every
+"sum of w_y f(y - x) over the pairs within r" goes through it, and only
+callers that need the pairs themselves call ``pairs_within``.
 The cell size is a tuning knob: pick it near the query radius so each
 lookup touches a bounded number of neighbor cells.
 
@@ -264,12 +267,24 @@ class GridIndex:
             return e, e
         return np.concatenate(out_q), np.concatenate(out_p)
 
-    def count_within(self, queries: np.ndarray, radius: float) -> np.ndarray:
+    def pair_sums(self, queries: np.ndarray, radius: float, value) -> np.ndarray:
+        """Per query, the sum of value(qrows, prows) over its pairs within radius.
+
+        ``value`` maps a block's (query_row, point_row) pairs to one number
+        per pair (or one for all). Each block is added with ``np.add.at``,
+        which adds one pair after another, in ``pairs_within``'s order, so
+        the sums equal one ``np.add.at`` over all of its pairs bit for bit,
+        and no more than one block of pairs is held at once.
+        """
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
-        counts = np.zeros(queries.shape[0], dtype=np.int64)
-        qrows, _ = self.pairs_within(queries, radius)
-        np.add.at(counts, qrows, 1)
-        return counts
+        out = np.zeros(queries.shape[0])
+        for qrows, prows, _, keep in self._blocks(queries, radius):
+            qrows, prows = np.compress(keep, qrows), np.compress(keep, prows)
+            np.add.at(out, qrows, value(qrows, prows))
+        return out
+
+    def count_within(self, queries: np.ndarray, radius: float) -> np.ndarray:
+        return self.pair_sums(queries, radius, lambda q, p: 1.0).astype(np.int64)
 
     def any_within(self, queries: np.ndarray, radius: float) -> np.ndarray:
         return self.count_within(queries, radius) > 0

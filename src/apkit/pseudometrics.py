@@ -183,17 +183,11 @@ def dbar_c(S: PointSet, S2: PointSet, R: float, quad_points: int = 48,
 def _mu_conv_f_batch(S: PointSet, f: TestFunction, u: np.ndarray) -> np.ndarray:
     """sum_x f(u - x) for a batch of evaluation points u."""
     u = np.atleast_2d(np.asarray(u, dtype=float))
-    out = np.zeros(u.shape[0])
-    if len(S) == 0:
-        return out
     rho = f.support_radius
     # f(u - x) != 0 iff x lies within rho of (u - center)
     grid = S.grid(max(rho, S.hardcore_radius))
-    qrows, prows = grid.pairs_within(u - f.center, rho)
-    if qrows.size:
-        contrib = f(u[qrows] - S.points[prows])
-        np.add.at(out, qrows, contrib)
-    return out
+    return grid.pair_sums(u - f.center, rho,
+                          lambda q, p: f(u[q] - S.points[p]))
 
 
 def mu_conv_f(S: PointSet, f: TestFunction, u) -> float:

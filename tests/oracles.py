@@ -92,6 +92,21 @@ def brute_nn_d2(points, queries, r_max: float = math.inf,
     return np.array(out)
 
 
+def brute_pair_sums(points, queries, radius: float, value) -> np.ndarray:
+    """Per query row i, the sum of value(i, j) over the point rows j within
+    radius (closed ball), by a double loop; value takes and returns
+    length-1 arrays."""
+    pts = np.asarray(points, dtype=float)
+    out = []
+    for i, q in enumerate(np.asarray(queries, dtype=float)):
+        total = 0.0
+        for j, x in enumerate(pts):
+            if np.sum((x - q) ** 2) <= radius * radius:
+                total += float(value(np.array([i]), np.array([j]))[0])
+        out.append(total)
+    return np.array(out)
+
+
 def brute_nn_mean(points) -> float:
     pts = np.asarray(points, dtype=float)
     n = len(pts)
@@ -286,6 +301,30 @@ def brute_mu_conv_f(points, shape, rho, amp, u) -> float:
     pts = np.asarray(points, dtype=float)
     u = np.asarray(u, dtype=float)
     return float(sum(brute_bump(shape, rho, amp, u - x) for x in pts))
+
+
+def brute_birkhoff_average_hf(points, psi, f, R: float, quad_points: int) -> float:
+    """Mean over nodes t of sum_x psi(x - t) sum_y f(y - x), by double loops.
+
+    psi and f are (shape, rho, amp, center) bumps, each evaluated at its
+    argument minus its center. The nodes are the midpoints of a
+    quad_points**dim grid on [-R, R]**dim that lie in the closed R-ball.
+    """
+    pts = np.asarray(points, dtype=float)
+    dim = pts.shape[1]
+    step = 2.0 * R / quad_points
+    axis = [-R + (i + 0.5) * step for i in range(quad_points)]
+    nodes = [np.array(t) for t in itertools.product(axis, repeat=dim)
+             if sum(c * c for c in t) <= R * R]
+    ps, prho, pamp, pc = psi
+    fs, frho, famp, fc = f
+    inner = [sum(brute_bump(fs, frho, famp, y - x - np.asarray(fc)) for y in pts)
+             for x in pts]
+    total = 0.0
+    for t in nodes:
+        for x, F in zip(pts, inner):
+            total += brute_bump(ps, prho, pamp, x - t - np.asarray(pc)) * F
+    return total / len(nodes)
 
 
 METRIC_CAP = 1.0 / math.sqrt(2.0)

@@ -153,6 +153,15 @@ def test_bin_tol_errors_keep_the_reference_text(locs, bin_tol):
     assert str(got.value) == str(want.value)
 
 
+def test_measure_spacing_check_names_bin_tol():
+    # the spacing check's grid cell is bin_tol, so its range error names it
+    locs = np.random.default_rng(0).uniform(-2.0, 2.0, size=(50, 2))
+    with pytest.raises(ak.InvalidArgument) as got:
+        ak.WeightedAtomMeasure(2, locs, np.ones(50), 1e-9)
+    assert str(got.value) == "bin_tol too fine for the coordinate extent"
+    assert got.value.exit_code == 2
+
+
 def test_measure_validation_rejects_close_atoms():
     with pytest.raises(ak.InvalidArgument, match="closer than bin_tol"):
         ak.WeightedAtomMeasure(1, np.array([[0.0], [1e-6]]),
@@ -607,30 +616,37 @@ def test_limit_estimator_empty_set_raises():
 # pair functionals
 
 
-def test_hf_functional_matches_brute():
-    S = z_lattice(30.0)
-    psi = ak.TestFunction("triangle_bump", 1.0, 1.0, [0.0]).normalized()
-    f = ak.TestFunction("triangle_bump", 2.5, 1.0, [0.0])
-    got = ak.hf_functional(S, psi, f)
-    want = 0.0
-    for x in S.points:
-        pv = oracles.brute_bump("triangle_bump", 1.0, psi.amplitude, x)
-        if pv <= 0.0:
-            continue
-        for y in S.points:
-            want += pv * oracles.brute_bump("triangle_bump", 2.5, 1.0, y - x)
-    assert got == pytest.approx(want, rel=1e-12)
+def test_birkhoff_average_hf_matches_brute():
+    # a 1D lattice and a small jittered 2D lattice, with off-center bumps
+    grid = ak.make_lattice([[1.0, 0.0], [0.0, 1.0]], 7.0).points
+    jittered = grid + np.random.default_rng(3).uniform(-0.2, 0.2, grid.shape)
+    sets = [
+        (z_lattice(12.0), ("triangle_bump", 1.0, 1.0, [0.3]),
+         ("triangle_bump", 2.5, 1.0, [-0.4]), 4.0, 16),
+        (ak.PointSet(jittered[np.sum(jittered ** 2, axis=1) <= 49.0], 7.0, 0.5),
+         ("cosine_bump", 1.2, 1.0, [0.2, -0.1]),
+         ("triangle_bump", 1.5, 2.0, [0.3, 0.0]), 3.0, 8),
+    ]
+    for S, psi_args, f_args, R, quad in sets:
+        psi = ak.TestFunction(*psi_args).normalized()
+        f = ak.TestFunction(*f_args)
+        got = ak.birkhoff_average_hf(S, psi, f, R, quad_points=quad)
+        psi_args = (psi.shape, psi.support_radius, psi.amplitude, psi.center)
+        want = oracles.brute_birkhoff_average_hf(S.points, psi_args, f_args,
+                                                 R, quad)
+        assert want > 0.0
+        assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_hf_functional_rejects_unnormalized_psi():
+def test_birkhoff_average_hf_rejects_unnormalized_psi():
     S = z_lattice(30.0)
     psi = ak.TestFunction("triangle_bump", 1.0, 2.0, [0.0])
     f = ak.TestFunction("triangle_bump", 1.0, 1.0, [0.0])
     with pytest.raises(ak.PsiNotNormalized):
-        ak.hf_functional(S, psi, f)
+        ak.birkhoff_average_hf(S, psi, f, 5.0, quad_points=16)
     # a triangle of unit area happens to be normalized already
     unit = ak.TestFunction("triangle_bump", 1.0, 1.0, [0.0])
-    ak.hf_functional(S, unit, f)
+    ak.birkhoff_average_hf(S, unit, f, 5.0, quad_points=16)
 
 
 def test_birkhoff_average_agrees_with_measure_evaluation():

@@ -152,8 +152,8 @@ def _write_json(path: Path, doc: dict) -> str:
 
 
 def test_octagonal_commands_run_every_unexempt_span(monkeypatch, tmp_path):
-    # PairDifferences walks the grid itself, so pairs_within must still be
-    # reached elsewhere (bin_atoms' merge loop, the tracked atoms)
+    # PairDifferences walks the grid itself and the tracked atoms go through
+    # pair_sums, so pairs_within must still be reached by bin_atoms' merge loop
     cli = importlib.import_module("apkit.cli")
     layers = json.loads((PERFBENCH / "layers.json").read_text())
     spans = [s for s in _metric_spans()

@@ -681,26 +681,26 @@ def test_bohr_walks_pairs_only_in_two_dimensions(monkeypatch, dim):
     probes = np.zeros((1, dim)) + np.linspace(-1.0, 1.0, 41).reshape(-1, 1)
     cands = np.zeros((3, dim))
     cands[1, 0], cands[2, 0] = 1.0, 0.5
-    counts = {"build": 0, "pairs_within": 0}
-    init, pairs = GridIndex.__init__, GridIndex.pairs_within
+    counts = {"build": 0, "pair_sums": 0}
+    init, sums = GridIndex.__init__, GridIndex.pair_sums
 
     def counting_init(self, *args, **kwargs):
         counts["build"] += 1
         init(self, *args, **kwargs)
 
-    def counting_pairs(self, *args, **kwargs):
-        counts["pairs_within"] += 1
-        return pairs(self, *args, **kwargs)
+    def counting_sums(self, *args, **kwargs):
+        counts["pair_sums"] += 1
+        return sums(self, *args, **kwargs)
 
     monkeypatch.setattr(GridIndex, "__init__", counting_init)
-    monkeypatch.setattr(GridIndex, "pairs_within", counting_pairs)
+    monkeypatch.setattr(GridIndex, "pair_sums", counting_sums)
     rep = ak.bohr_test_mu_conv_f(mu, f, 0.05, cands, probes, gap_bound=5.0)
     assert sorted(rep.almost_period_set[:, 0]) == [0.0, 1.0]
     if dim == 1:
-        assert counts == {"build": 0, "pairs_within": 0}
+        assert counts == {"build": 0, "pair_sums": 0}
     else:
         assert counts["build"] >= 1
-        assert counts["pairs_within"] == 1 + len(cands)
+        assert counts["pair_sums"] == 1 + len(cands)
 
 
 def probe_grid(case: str, dim: int):

@@ -263,6 +263,59 @@ def test_pairs_within_empty_and_one_point(pair_block, dim):
 
 
 # ---------------------------------------------------------------------------
+# pair_sums against a dense double loop, and bit for bit against one
+# np.add.at over pairs_within's pairs
+
+
+def wavy(pts, queries, weights):
+    """A per-pair value that depends on both rows and their order."""
+    return lambda q, p: weights[p] * np.cos(np.sum(pts[p] - 2.0 * queries[q],
+                                                   axis=1))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_pair_sums_match_brute(pair_block, dim):
+    rng = np.random.default_rng(5 * dim)
+    pts = rng.uniform(-4.0, 4.0, size=(60, dim))
+    queries = rng.uniform(-6.0, 6.0, size=(40, dim))
+    weights = rng.uniform(0.5, 2.0, size=60)
+    grid = GridIndex(pts, 0.7)
+    for radius in (0.4, 1.0, 2.0):
+        value = wavy(pts, queries, weights)
+        got = grid.pair_sums(queries, radius, value)
+        want = oracles.brute_pair_sums(pts, queries, radius, value)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        qi, pi = grid.pairs_within(queries, radius)
+        at = np.zeros(len(queries))
+        np.add.at(at, qi, value(qi, pi))
+        assert np.array_equal(got, at)
+        counts = grid.count_within(queries, radius)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, oracles.brute_pair_sums(
+            pts, queries, radius, lambda q, p: np.ones(1)))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_pair_sums_empty_index_and_queries(pair_block, dim):
+    queries = np.arange(3.0 * dim).reshape(3, dim)
+    none = np.zeros((0, dim))
+    value = lambda q, p: np.ones(len(q))   # noqa: E731
+    assert np.array_equal(GridIndex(none, 1.0).pair_sums(queries, 1.5, value),
+                          np.zeros(3))
+    assert GridIndex(queries, 1.0).pair_sums(none, 1.5, value).shape == (0,)
+    assert GridIndex(none, 1.0).count_within(none, 1.5).dtype == np.int64
+
+
+@pytest.mark.parametrize("cell", [0.5, 1.0, 5.0])
+def test_pair_sums_keep_a_pair_at_exactly_radius(pair_block, cell):
+    # integer points: d2 == radius * radius exactly, in the closed ball
+    pts = np.array([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0], [-3.0, 4.0]])
+    got = GridIndex(pts, cell).pair_sums(pts, 5.0, lambda q, p: p + 1.0)
+    assert np.array_equal(got, [1.0 + 2.0 + 4.0, 2.0 + 1.0 + 3.0, 3.0 + 2.0,
+                                4.0 + 1.0])
+
+
+# ---------------------------------------------------------------------------
 # nn_d2 against a full scan; the squared-distance expression is shared, so
 # the comparison is exact
 

@@ -542,8 +542,6 @@ HORIZON_CASES = {
                                    z_lattice(W), W * s)),
     "PairDifferences": (ak.RadiusExceedsWindow, lambda s: ak.PairDifferences(
         z_lattice(W), W * s, 2.0)),
-    "hf_functional": (ak.WindowTooSmall, lambda s: ak.hf_functional(
-        z_lattice(W), bump(1.0), bump(1.0, W * s - 2.0))),
     "birkhoff_average_hf": (ak.WindowTooSmall, lambda s: ak.birkhoff_average_hf(
         z_lattice(W), bump(1.0), bump(1.0), W * s - 2.0, quad_points=16)),
     "fourier_sum": (ak.RadiusExceedsWindow,
