@@ -93,13 +93,45 @@ def _aggregate(locations, weights, group_ids, n_groups):
     return locs, wsum
 
 
+def _components(n: int, a: np.ndarray, b: np.ndarray):
+    """Connected components of n nodes joined by the edges (a[i], b[i]).
+
+    Returns each node's component and their count, the components numbered
+    in the order of their smallest members. Every node holds a label in
+    its own component that is at most the node itself; each round hooks
+    the larger label of every edge whose ends differ under the smaller,
+    then jumps pointers until every label labels itself. Labels only fall,
+    so the rounds end, and then each component holds one label: its
+    smallest member.
+    """
+    label = np.arange(n)
+    while True:
+        la, lb = label[a], label[b]
+        differ = la != lb
+        if not np.any(differ):
+            break
+        la, lb = la[differ], lb[differ]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+    roots = label == np.arange(n)
+    return np.cumsum(roots)[label] - 1, int(np.count_nonzero(roots))
+
+
 def bin_atoms(locations: np.ndarray, weights: np.ndarray, bin_tol: float,
               *, labels: tuple[np.ndarray, int] | None = None):
     """Merge atoms until all pairwise distances are >= bin_tol.
 
     Quantize to bin_tol cells, take weighted centroids, then repeatedly merge
-    connected components of the within-bin_tol proximity graph. Smeared mass
-    therefore collapses to local weighted centroids at bin_tol resolution.
+    connected components of the within-bin_tol proximity graph
+    (``_components``). Smeared mass therefore collapses to local weighted
+    centroids at bin_tol resolution. A group's sums add its members in row
+    order and the atoms are sorted at the end, so the numbering of the
+    components changes nothing, except the order in which a later round
+    adds a group of three or more atoms.
 
     ``labels`` lends the rows' cell labels and their count, equal to what
     the quantization would give (``PairDifferences.cells_at``), so a radius
@@ -118,21 +150,8 @@ def bin_atoms(locations: np.ndarray, weights: np.ndarray, bin_tol: float,
         edges = qi < pi
         if not np.any(edges):
             break
-        parent = np.arange(len(locs))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for a, b in zip(qi[edges], pi[edges]):
-            ra, rb = find(int(a)), find(int(b))
-            if ra != rb:
-                parent[rb] = ra
-        roots = np.array([find(int(i)) for i in range(len(locs))])
-        _, comp = np.unique(roots, return_inverse=True)
-        locs, wts = _aggregate(locs, wts, comp, comp.max() + 1)
+        comp, n_comp = _components(len(locs), qi[edges], pi[edges])
+        locs, wts = _aggregate(locs, wts, comp, n_comp)
     else:
         raise InvalidArgument("atom binning did not reach a fixpoint")
     order = np.lexsort(locs.T[::-1])

@@ -26,7 +26,7 @@ from .errors import (
     SingularBasis,
     WindowTooSmall,
 )
-from .gridindex import GridIndex
+from .gridindex import GridIndex, _row_blocks, _sq_norms
 from .pointset import PointSet, RegionSpec, _check_reach, _in_ball, ball_volume
 from .util import Record, schedule
 
@@ -679,17 +679,33 @@ class PalmIntensityEstimate(Record):
 
 
 def _count_diffs_in(chi: PointSet, anchors: np.ndarray, A: RegionSpec) -> int:
-    """Number of pairs (x in anchors, y in chi) with y - x in A."""
+    """Number of pairs (x in anchors, y in chi) with y - x in A.
+
+    A pair counts when y lies within A's radius of x + A's center (a ball),
+    or within A's outer radius of x with y - x in the box, by the pair
+    walk's ``_sq_norms`` test. Only the slab of chi's sorted first column
+    within that reach of the anchors is tested, in blocks of anchors, so no
+    grid is built over the whole sample.
+    """
     if len(anchors) == 0 or len(chi) == 0:
         return 0
-    outer = A.outer_radius()
-    grid = chi.grid(max(outer, chi.hardcore_radius))
     if A.kind == "ball":
-        sums = grid.pair_sums(anchors + A.center, A.radius, lambda q, p: 1.0)
+        queries, reach = anchors + A.center, A.radius
     else:
-        sums = grid.pair_sums(anchors, outer,
-                              lambda q, p: A.contains(chi.points[p] - anchors[q]))
-    return int(sums.sum())
+        queries, reach = anchors, A.outer_radius()
+    # PointSets are sorted lexicographically; the pad covers rounding
+    ends = queries[:, 0].min(), queries[:, 0].max()
+    pad = reach * (1.0 + 1e-9) + 1e-9 * max(abs(ends[0]), abs(ends[1]))
+    lo, hi = np.searchsorted(chi.points[:, 0], [ends[0] - pad, ends[1] + pad])
+    pts = chi.points[lo:hi]
+    count = 0
+    for rows in _row_blocks(len(queries), len(pts)):
+        diff = (pts[None, :, :] - queries[rows, None, :]).reshape(-1, chi.dim)
+        keep = _sq_norms(diff) <= reach * reach
+        if A.kind != "ball":
+            keep &= A.contains(diff)
+        count += int(np.count_nonzero(keep))
+    return count
 
 
 def _at_least_one(**counts: int) -> None:

@@ -22,9 +22,13 @@ and checks its range, for the grid's codes here and for
 
 ``nn_d2`` is the one nearest-distance search: every "how far is the nearest
 other point" question goes through it, except ``dtilde``'s exact-match
-probe. It looks up a whole Chebyshev shell of cells for all pending queries
-at once, and computes d2 as ``pairs_within`` does, so its minima compare
-exactly with a pair query's.
+probe. In dimension 1 it reads the two sorted neighbours of each query by
+binary search; in higher dimensions it looks up a whole Chebyshev shell of
+cells for all pending queries at once. Either way it computes d2 as
+``pairs_within`` does, so its minima compare exactly with a pair query's.
+``_row_blocks`` cuts a (rows x width) array of differences into blocks of
+at most ``_PAIR_BLOCK`` entries for callers that test every pair of two
+small sets without a grid.
 """
 
 from __future__ import annotations
@@ -53,6 +57,13 @@ def _sq_norms(diff: np.ndarray) -> np.ndarray:
     for d in range(1, diff.shape[1]):
         d2 += diff[:, d] ** 2
     return d2
+
+
+def _row_blocks(rows: int, width: int):
+    """Slices of range(rows), each of at most _PAIR_BLOCK entries of a
+    (rows x width) array (one row at least)."""
+    step = max(1, _PAIR_BLOCK // max(width, 1))
+    return [slice(s, s + step) for s in range(0, rows, step)]
 
 
 def _cube(k: int, dim: int) -> np.ndarray:
@@ -130,6 +141,7 @@ class GridIndex:
         self.cell = float(cell_size)
         self.dim = points.shape[1]
         self._starts = None
+        self._sorted = None   # 1D: row order by coordinate, made by nn_d2
         n = points.shape[0]
         if n == 0:
             self._mins = np.zeros(self.dim, dtype=np.int64)
@@ -299,14 +311,54 @@ class GridIndex:
 
         With exclude_self the queries are the indexed points, row for row,
         and each skips its own row only: an exact duplicate still reads 0.
-        Expands Chebyshev cell shells; a query stops once its best distance
-        is certified (points in farther shells are strictly farther). A
-        capped query visits the cells ``pairs_within(queries, r_max)`` does.
+        In dimension 1 the nearest point is one of the two that bracket the
+        query in sorted order (``_nn_d2_sorted``). In higher dimensions the
+        search expands Chebyshev cell shells; a query stops once its best
+        distance is certified (points in farther shells are strictly
+        farther), and a capped query visits the cells
+        ``pairs_within(queries, r_max)`` does.
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
+        if self._order.size == 0 or queries.shape[0] == 0:
+            return np.full(queries.shape[0], np.inf)
+        if self.dim == 1:
+            best = self._nn_d2_sorted(queries, exclude_self)
+        else:
+            best = self._nn_d2_shells(queries, r_max, exclude_self)
+        best[best > r_max * r_max] = np.inf
+        return best
+
+    def _nn_d2_sorted(self, queries: np.ndarray, exclude_self: bool):
+        """1D ``nn_d2`` before the cap: the less d2 of the two sorted neighbours.
+
+        The neighbours are the points on either side of the query's place
+        in the sorted coordinates, or of the row's own place with
+        exclude_self. fl(p - q) is monotone in p, so no other point has a
+        smaller ``(points[p] - queries[q]) ** 2``, the expression of the
+        pair walk and of the shell search.
+        """
+        if self._sorted is None:
+            self._sorted = np.argsort(self.points[:, 0], kind="stable")
+        order, n = self._sorted, self._sorted.size
+        if exclude_self:
+            right = np.empty(n, dtype=np.int64)
+            right[order] = np.arange(1, n + 1)
+            left = right - 2
+        else:
+            right = np.searchsorted(self.points[order, 0], queries[:, 0])
+            left = right - 1
         best = np.full(queries.shape[0], np.inf)
-        if self._order.size == 0 or best.size == 0:
-            return best
+        for side in (left, right):
+            ok = (side >= 0) & (side < n)
+            q = np.flatnonzero(ok)
+            d2 = _sq_norms(self._pair_diffs(queries, q, order[side[ok]]))
+            best[q] = np.minimum(best[q], d2)
+        return best
+
+    def _nn_d2_shells(self, queries: np.ndarray, r_max: float,
+                      exclude_self: bool):
+        """``nn_d2`` before the cap, by Chebyshev cell shells."""
+        best = np.full(queries.shape[0], np.inf)
         qcells = np.floor(queries / self.cell).astype(np.int64)
         # the farthest shell that can still contain indexed cells
         lo_gap = qcells - self._mins
@@ -331,5 +383,4 @@ class GridIndex:
             pending = pending[best[pending] > (k * self.cell) ** 2]
             if pending.size == 0:
                 break
-        best[best > r_max * r_max] = np.inf
         return best

@@ -180,7 +180,7 @@ class PointSet:
     validate : bool
         When true (default), check that the points are finite, lie inside
         the window and respect the hardcore radius (one grid build and one
-        capped ``nn_d2`` query). Only sets that pass it by construction skip
+        capped ``nn_d2`` query, a binary search in dimension 1). Only sets that pass it by construction skip
         it: subsets and translates of a checked set (``translate``, the
         mismatch sets), ``cut_and_project`` (r is the measured minimum
         distance) and the ``randomized_lattice`` and ``matern_II`` samplers
@@ -263,30 +263,21 @@ def count_in_region(S: PointSet, region: RegionSpec) -> int:
     return int(np.count_nonzero(region.contains(S.points)))
 
 
-def _shift(S: PointSet, t: np.ndarray):
-    """The window clip of S - t, the one rule of ``translate``.
-
-    Returns the shifted points, their norms, the rows that stay in the
-    shrunken window (``_in_ball``) and that window, window_radius - |t|.
-    """
-    tnorm = float(np.linalg.norm(t))
-    _check_reach(tnorm, S.window_radius, TranslationExceedsWindow, "|t|")
-    new_w = max(0.0, S.window_radius - tnorm)
-    shifted = S.points - t
-    norms = np.sqrt(np.sum(shifted ** 2, axis=1))
-    return shifted, norms, _in_ball(norms, new_w), new_w
-
-
 def translate(S: PointSet, t) -> PointSet:
     """The set S - t, faithfully windowed to radius window_radius - |t|.
 
-    The rows kept are ``_shift``'s, the clip that ``dbar_c`` reads at each
-    quadrature node without building the set.
+    Keeps the rows whose norm in S - t lies in the shrunken window
+    (``_in_ball``), the clip that ``dbar_c`` evaluates at every quadrature
+    node at once without building the set.
     """
     t = np.asarray(t, dtype=float).reshape(-1)
     if len(t) != S.dim:
         raise DimensionMismatch("translation vector has wrong dimension")
-    shifted, _, keep, new_w = _shift(S, t)
+    tnorm = float(np.linalg.norm(t))
+    _check_reach(tnorm, S.window_radius, TranslationExceedsWindow, "|t|")
+    new_w = max(0.0, S.window_radius - tnorm)
+    shifted = S.points - t
+    keep = _in_ball(np.sqrt(np.sum(shifted ** 2, axis=1)), new_w)
     return PointSet(shifted[keep], new_w, S.hardcore_radius, validate=False)
 
 

@@ -526,3 +526,51 @@ def ref_profile(locations, weights, shape: str, rho: float, amp: float,
         math.fsum(w * brute_bump(shape, rho, amp, u - x - center)
                   for x, w in zip(locs, weights))
         for u in probes])
+
+
+def ref_bin_atoms(locations, weights, bin_tol: float):
+    """``bin_atoms`` by a Python union-find over a dense pair scan.
+
+    Groups the rows by ``ref_group_by_cell`` and takes weighted centroids
+    (bincount, members added in row order). Each round joins every pair
+    i < j closer than bin_tol * (1 - 1e-12) by union-find, numbers the
+    components by their roots and takes their centroids, until a round
+    finds no pair. Returns (locations, weights, rounds), the atoms sorted
+    lexicographically and rounds the number of rounds that merged.
+    """
+    def centroids(locs, wts, gid, n):
+        wsum = np.bincount(gid, weights=wts, minlength=n)
+        out = np.empty((n, locs.shape[1]))
+        for d in range(locs.shape[1]):
+            out[:, d] = np.bincount(gid, weights=wts * locs[:, d],
+                                    minlength=n) / wsum
+        return out, wsum
+
+    locs = np.asarray(locations, dtype=float)
+    locs, wts = centroids(locs, np.asarray(weights, dtype=float),
+                          *ref_group_by_cell(locs, bin_tol))
+    radius = bin_tol * (1.0 - 1e-12)
+    rounds = 0
+    while True:
+        d2 = np.sum((locs[None, :, :] - locs[:, None, :]) ** 2, axis=2)
+        qi, pi = np.nonzero(np.triu(d2 <= radius * radius, k=1))
+        if qi.size == 0:
+            break
+        parent = np.arange(len(locs))
+
+        def find(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        for a, b in zip(qi, pi):
+            ra, rb = find(int(a)), find(int(b))
+            if ra != rb:
+                parent[rb] = ra
+        roots = np.array([find(int(i)) for i in range(len(locs))])
+        _, comp = np.unique(roots, return_inverse=True)
+        locs, wts = centroids(locs, wts, comp, comp.max() + 1)
+        rounds += 1
+    order = np.lexsort(locs.T[::-1])
+    return locs[order], wts[order], rounds

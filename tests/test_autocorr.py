@@ -55,6 +55,98 @@ def test_bin_atoms_separation_and_mass(xs):
         assert np.all(gaps >= 1e-2 * (1.0 - 1e-9))
 
 
+def chains_1d(rng, n_chains: int, tol: float):
+    """1D chains of atoms each within tol of the next, tol or more apart."""
+    xs, x = [], 0.0
+    for _ in range(n_chains):
+        for _ in range(rng.integers(1, 30)):
+            xs.append(x)
+            x += rng.uniform(0.2, 0.95) * tol
+        x += rng.uniform(1.05, 3.0) * tol
+    return np.array(xs).reshape(-1, 1)
+
+
+def clusters_2d(rng, n: int, tol: float):
+    """Clumps of 2D atoms around the nodes of a lattice of pitch 8 * tol."""
+    centers = rng.integers(0, 6, size=(n, 2)) * 8.0 * tol
+    return centers + rng.normal(0.0, 0.8 * tol, size=(n, 2))
+
+
+def rings_2d(tol: float):
+    """An atom at a cell's center and a ring of eight 1.05 * tol from it.
+
+    The ring's atoms lie in the eight cells around, each within tol of the
+    next but farther than tol from the center: the ring merges first, and
+    its centroid merges with the center in a second round.
+    """
+    angles = np.arange(8) * np.pi / 4.0 + 0.1
+    out = []
+    for k, c in enumerate([(0.5, 0.5), (7.5, 4.5), (-3.5, 12.5)]):
+        c = np.array(c) * tol
+        ring = c + 1.05 * tol * np.stack([np.cos(angles + k),
+                                          np.sin(angles + k)], axis=1)
+        out += [c[None, :], ring]
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bin_atoms_equals_union_find_on_one_round_merges(seed):
+    # one merge round: the atoms equal the union-find reference's exactly
+    rng = np.random.default_rng(seed)
+    tol = 0.37
+    for locs in (chains_1d(rng, 12, tol), clusters_2d(rng, 120, tol)):
+        locs = locs[rng.permutation(len(locs))]
+        wts = rng.uniform(0.5, 2.0, size=len(locs))
+        want_l, want_w, rounds = oracles.ref_bin_atoms(locs, wts, tol)
+        assert rounds == 1
+        got_l, got_w = ak.bin_atoms(locs, wts, tol)
+        assert np.array_equal(got_l, want_l) and np.array_equal(got_w, want_w)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_bin_atoms_matches_union_find_over_several_rounds(seed):
+    rng = np.random.default_rng(seed)
+    tol = 0.37
+    locs = np.concatenate([rings_2d(tol), clusters_2d(rng, 200, tol)])
+    locs = locs[rng.permutation(len(locs))]
+    wts = rng.uniform(0.5, 2.0, size=len(locs))
+    want_l, want_w, rounds = oracles.ref_bin_atoms(locs, wts, tol)
+    assert rounds >= 2
+    got_l, got_w = ak.bin_atoms(locs, wts, tol)
+    # a later round's group of three or more may add in another order
+    assert got_l.shape == want_l.shape
+    assert got_l == pytest.approx(want_l, rel=1e-12, abs=1e-12)
+    assert got_w == pytest.approx(want_w, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, n_edges", [(1, 0), (5, 0), (40, 25), (300, 280),
+                                        (300, 900)])
+def test_components_are_union_find_partitions_by_least_member(n, n_edges):
+    rng = np.random.default_rng(n + n_edges)
+    a, b = rng.integers(0, n, size=(2, n_edges))
+    # a long path through half the nodes in shuffled order needs several
+    # hooking rounds
+    path = rng.permutation(n)[:n // 2]
+    a, b = np.concatenate([a, path[:-1]]), np.concatenate([b, path[1:]])
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for x, y in zip(a.tolist(), b.tolist()):
+        parent[find(x)] = find(y)
+    roots = np.array([find(i) for i in range(n)])
+    least = {}
+    for i, r in enumerate(roots.tolist()):
+        least.setdefault(r, i)
+    firsts = sorted(least.values())
+    want = np.array([firsts.index(least[r]) for r in roots.tolist()])
+    comp, count = autocorr._components(n, a, b)
+    assert np.array_equal(comp, want) and count == len(firsts)
+
+
 # ---------------------------------------------------------------------------
 # cell labels: per-column ranks against the sort-based reference
 

@@ -753,6 +753,32 @@ def test_palm_intensity_window_guard():
         ak.palm_intensity(p, ak.RegionSpec.ball([0.0], 2.0), n_samples=5)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", ["ball", "box"])
+@pytest.mark.parametrize("base", [2.0, 6.0])
+def test_count_diffs_in_matches_brute(pair_block, dim, kind, base):
+    # base 6.0 gives many anchors, whose slab holds most of the sample
+    rng = np.random.default_rng(dim)
+    W = 9.0 if dim == 1 else 8.0
+    pts = rng.uniform(-W, W, size=(200 if dim == 1 else 300, dim))
+    chi = ak.PointSet(pts[np.sqrt(np.sum(pts ** 2, axis=1)) <= W], W, 1e-6)
+    anchors = chi.points[ak.RegionSpec.ball([0.0] * dim, base).contains(
+        chi.points)]
+    if kind == "ball":
+        A = ak.RegionSpec.ball([0.7] + [-0.4] * (dim - 1), 1.3)
+        want = oracles.brute_pair_sums(chi.points, anchors + A.center,
+                                       A.radius, lambda q, p: np.ones(1))
+    else:
+        A = ak.RegionSpec.box([-1.2] + [0.3] * (dim - 1),
+                              [0.9] + [1.6] * (dim - 1))
+        want = oracles.brute_pair_sums(
+            chi.points, anchors, A.outer_radius(),
+            lambda q, p: A.contains(chi.points[p] - anchors[q]).astype(float))
+    assert len(anchors) > (100 if base == 6.0 else 0)
+    got = generators._count_diffs_in(chi, anchors, A)
+    assert got == int(want.sum()) > 0
+
+
 def test_palm_estimate_json_fields():
     p = lattice_sampler(1)
     est = ak.palm_intensity(p, ak.RegionSpec.ball([1.0], 0.25), n_samples=10)

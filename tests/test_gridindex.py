@@ -387,6 +387,52 @@ def test_nn_d2_cap_equal_to_a_pair_distance(cell):
         assert np.count_nonzero(np.isfinite(got)) == (2 if r_max == 2.0 else 4)
 
 
+def no_shell_walk(monkeypatch):
+    def fail(*args):
+        raise AssertionError("1D nn_d2 walked cell shells")
+    monkeypatch.setattr(GridIndex, "_lookups", fail)
+
+
+@pytest.mark.parametrize("cell", [1e-3, 0.4])
+def test_nn_d2_1d_query_far_beyond_the_grid(monkeypatch, cell):
+    # a million cells past the extent: found by binary search, no shell walk
+    pts = np.array([[0.25], [-0.5], [0.75], [0.5]])
+    far = 0.75 + 1e6 * cell
+    queries = np.array([[far], [-far], [0.3]])
+    grid = GridIndex(pts, cell)
+    no_shell_walk(monkeypatch)
+    for r_max in (math.inf, 2e6 * cell):
+        assert np.array_equal(grid.nn_d2(queries, r_max),
+                              oracles.brute_nn_d2(pts, queries, r_max))
+    assert np.array_equal(grid.nn_d2(queries, 0.1),
+                          [np.inf, np.inf, (0.25 - 0.3) ** 2])
+
+
+def test_nn_d2_1d_equal_left_and_right_distances(monkeypatch):
+    pts = np.array([[2.0], [0.0], [0.1], [0.3], [-1.0], [1.0]])
+    # midpoints between two points; 0.2 and 0.65 tie up to rounding
+    queries = np.array([[1.0], [1.5], [0.2], [-0.5], [0.65]])
+    grid = GridIndex(pts, 0.25)
+    no_shell_walk(monkeypatch)
+    got = grid.nn_d2(queries)
+    assert np.array_equal(got, oracles.brute_nn_d2(pts, queries))
+    assert got[0] == 0.0 and got[1] == 0.25 and got[3] == 0.25
+    assert np.array_equal(grid.nn_d2(pts, exclude_self=True),
+                          oracles.brute_nn_d2(pts, pts, exclude_self=True))
+
+
+@pytest.mark.parametrize("r_max", [0.0, 0.5, 1.5, math.inf])
+def test_nn_d2_1d_duplicates_excluding_self_with_a_cap(monkeypatch, r_max):
+    # runs of equal coordinates, in scrambled row order
+    pts = np.array([[1.5], [0.0], [4.0], [1.5], [0.0], [1.5], [5.5], [-2.0]])
+    grid = GridIndex(pts, 1.0)
+    no_shell_walk(monkeypatch)
+    got = grid.nn_d2(pts, r_max, exclude_self=True)
+    assert np.array_equal(got, oracles.brute_nn_d2(pts, pts, r_max,
+                                                   exclude_self=True))
+    assert np.array_equal(got[[0, 1, 3, 4, 5]], np.zeros(5))
+
+
 def test_grid_index_bad_arguments_are_invalid_argument():
     with pytest.raises(ak.InvalidArgument):
         GridIndex(np.zeros(3), 1.0)

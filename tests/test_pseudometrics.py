@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import apkit as ak
 import oracles
-from apkit import pseudometrics
+from apkit import gridindex, pseudometrics
 
 
 RADII = [40.0, 60.0, 80.0]
@@ -260,6 +260,32 @@ def test_dbar_c_reads_the_other_window_at_each_node(dim, quad_points):
     B = ak.PointSet(A.points[(A.norms() <= W2 - 0.5) & ~lone], W2, 0.35)
     assert_dbar_c_matches_brute(A, B, R, quad_points, tol)
     assert_dbar_c_matches_brute(B, A, R, quad_points, tol)
+
+
+@pytest.mark.parametrize("block", [None, 1000, 7])
+def test_dbar_c_2d_node_blocks_match_brute(monkeypatch, block):
+    # nodes x points spans several node blocks at every block size, down
+    # to one node per block
+    if block is not None:
+        monkeypatch.setattr(gridindex, "_PAIR_BLOCK", block)
+    rng = np.random.Generator(np.random.Philox(key=31))
+    R, tol, quad_points = 1.5, 0.25, 28
+    W = R + 1.0 / tol + 1.0
+    A = jittered_lattice(2, W - 0.5, W, 0.15, rng)
+    B = jittered_lattice(2, W - 0.8, W, 0.3, rng)
+    nodes, _ = pseudometrics._midpoint_grid(R, 2, quad_points)
+    assert len(gridindex._row_blocks(len(nodes), len(A))) > 1
+    vals = oracles.brute_dbar_c_nodes(A.points, A.window_radius, B.points,
+                                      B.window_radius, nodes, tol)
+    assert len(set(vals.tolist())) > 1
+    tnorm = np.array([float(np.linalg.norm(t)) for t in nodes])
+    got = np.maximum(pseudometrics._node_breaks(A, B, nodes, tnorm, tol),
+                     pseudometrics._node_breaks(B, A, nodes, tnorm, tol))
+    assert np.array_equal(np.minimum(got, 1.0 / np.sqrt(2.0)), vals)
+    rep = ak.dbar_c(A, B, R, quad_points=quad_points, tol=tol)
+    norms = np.sqrt(np.sum(nodes ** 2, axis=1))
+    assert rep.per_radius.tolist() == [float(np.mean(vals[norms <= rr]))
+                                       for rr in rep.radius_schedule]
 
 
 # ---------------------------------------------------------------------------
