@@ -26,7 +26,7 @@ from .errors import (
     SingularBasis,
     WindowTooSmall,
 )
-from .gridindex import GridIndex, _row_blocks, _sq_norms
+from .gridindex import GridIndex, _run_blocks, _sq_norms
 from .pointset import PointSet, RegionSpec, _check_reach, _in_ball, ball_volume
 from .util import Record, schedule
 
@@ -683,9 +683,12 @@ def _count_diffs_in(chi: PointSet, anchors: np.ndarray, A: RegionSpec) -> int:
 
     A pair counts when y lies within A's radius of x + A's center (a ball),
     or within A's outer radius of x with y - x in the box, by the pair
-    walk's ``_sq_norms`` test. Only the slab of chi's sorted first column
-    within that reach of the anchors is tested, in blocks of anchors, so no
-    grid is built over the whole sample.
+    walk's ``_sq_norms`` test. chi is sorted by its first column, so each
+    anchor's candidates within that reach are one run of it, found by binary
+    search and padded for rounding, and tested in ``_run_blocks``. In
+    dimension 2 and up a run is a whole strip of the sample; when the runs
+    hold more than two candidates per point, a grid walk over chi (which
+    costs about that much to build) tests fewer pairs and is used instead.
     """
     if len(anchors) == 0 or len(chi) == 0:
         return 0
@@ -693,14 +696,18 @@ def _count_diffs_in(chi: PointSet, anchors: np.ndarray, A: RegionSpec) -> int:
         queries, reach = anchors + A.center, A.radius
     else:
         queries, reach = anchors, A.outer_radius()
-    # PointSets are sorted lexicographically; the pad covers rounding
-    ends = queries[:, 0].min(), queries[:, 0].max()
-    pad = reach * (1.0 + 1e-9) + 1e-9 * max(abs(ends[0]), abs(ends[1]))
-    lo, hi = np.searchsorted(chi.points[:, 0], [ends[0] - pad, ends[1] + pad])
-    pts = chi.points[lo:hi]
+    q0 = queries[:, 0]
+    pad = reach * (1.0 + 1e-9) + 1e-9 * np.abs(q0)
+    left = np.searchsorted(chi.points[:, 0], q0 - pad)
+    lens = np.searchsorted(chi.points[:, 0], q0 + pad, side="right") - left
+    if chi.dim == 1 or int(lens.sum()) <= 2 * len(chi):
+        pairs = _run_blocks(np.arange(len(queries)), left, lens)
+    else:
+        grid = chi.grid(max(reach, chi.hardcore_radius))
+        pairs = (block[:2] for block in grid._blocks(queries, reach))
     count = 0
-    for rows in _row_blocks(len(queries), len(pts)):
-        diff = (pts[None, :, :] - queries[rows, None, :]).reshape(-1, chi.dim)
+    for qrows, prows in pairs:
+        diff = chi.points[prows] - queries[qrows]
         keep = _sq_norms(diff) <= reach * reach
         if A.kind != "ball":
             keep &= A.contains(diff)

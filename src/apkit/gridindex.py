@@ -28,7 +28,9 @@ cells for all pending queries at once. Either way it computes d2 as
 ``pairs_within`` does, so its minima compare exactly with a pair query's.
 ``_row_blocks`` cuts a (rows x width) array of differences into blocks of
 at most ``_PAIR_BLOCK`` entries for callers that test every pair of two
-small sets without a grid.
+small sets without a grid. ``_run_blocks`` cuts ragged runs of candidates
+the same way, for the walk here and for callers that find each query's run
+by binary search on a sorted column instead.
 """
 
 from __future__ import annotations
@@ -57,6 +59,32 @@ def _sq_norms(diff: np.ndarray) -> np.ndarray:
     for d in range(1, diff.shape[1]):
         d2 += diff[:, d] ** 2
     return d2
+
+
+def _expand_runs(rows, left, lens):
+    """(row, index) for each index of each [left, left + lens) run, in order."""
+    # flat[i] walks each [left, left + lens) run in sequence
+    flat = np.repeat(left - (np.cumsum(lens) - lens), lens)
+    flat += np.arange(flat.size)
+    return np.repeat(rows, lens), flat
+
+
+def _run_blocks(rows, left, lens):
+    """``_expand_runs`` cut between runs into blocks of at most _PAIR_BLOCK
+    indices, unless one run alone is longer."""
+    ends = np.cumsum(lens)
+    if ends.size == 0 or ends[-1] == 0:
+        return
+    a = 0
+    while a < ends.size:
+        base = ends[a - 1] if a else 0
+        if ends[-1] - base <= _PAIR_BLOCK:
+            b = ends.size
+        else:
+            b = int(np.searchsorted(ends, base + _PAIR_BLOCK, side="right"))
+            b = max(b, a + 1)   # one run longer than a block
+        yield _expand_runs(rows[a:b], left[a:b], lens[a:b])
+        a = b
 
 
 def _row_blocks(rows: int, width: int):
@@ -209,10 +237,8 @@ class GridIndex:
 
     def _expand(self, rows, left, lens):
         """(query_row, point_row) for each point of each run, runs in order."""
-        # flat[i] walks each [left, left + lens) run in sequence
-        flat = np.repeat(left - (np.cumsum(lens) - lens), lens)
-        flat += np.arange(flat.size)
-        return np.repeat(rows, lens), np.take(self._order, flat)
+        qrows, flat = _expand_runs(rows, left, lens)
+        return qrows, np.take(self._order, flat)
 
     def _pair_diffs(self, queries, qrows, prows):
         """``points[prows] - queries[qrows]``: two row gathers, one subtract."""
@@ -251,21 +277,10 @@ class GridIndex:
         r2 = radius * radius
         for rows, left, lens in (self._offset_runs(queries, radius)
                                  if runs is None else runs):
-            ends = np.cumsum(lens)
-            if ends.size == 0 or ends[-1] == 0:
-                continue
-            a = 0
-            while a < ends.size:
-                base = ends[a - 1] if a else 0
-                if ends[-1] - base <= _PAIR_BLOCK:
-                    b = ends.size
-                else:
-                    b = int(np.searchsorted(ends, base + _PAIR_BLOCK, side="right"))
-                    b = max(b, a + 1)   # one run longer than a block
-                qrows, prows = self._expand(rows[a:b], left[a:b], lens[a:b])
+            for qrows, flat in _run_blocks(rows, left, lens):
+                prows = np.take(self._order, flat)
                 diff = self._pair_diffs(queries, qrows, prows)
                 yield qrows, prows, diff, _sq_norms(diff) <= r2
-                a = b
 
     def pairs_within(self, queries: np.ndarray, radius: float):
         """All (query_row, point_row) with Euclidean distance <= radius."""

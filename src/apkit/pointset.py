@@ -31,7 +31,7 @@ from .errors import (
     TranslationExceedsWindow,
     WindowTooSmall,
 )
-from .gridindex import GridIndex
+from .gridindex import GridIndex, _row_blocks, _sq_norms
 from .util import (
     Record,
     fmt_float,
@@ -267,8 +267,8 @@ def translate(S: PointSet, t) -> PointSet:
     """The set S - t, faithfully windowed to radius window_radius - |t|.
 
     Keeps the rows whose norm in S - t lies in the shrunken window
-    (``_in_ball``), the clip that ``dbar_c`` evaluates at every quadrature
-    node at once without building the set.
+    (``_in_ball``), the clip that ``_covering_scale`` evaluates at many
+    translations at once without building the sets.
     """
     t = np.asarray(t, dtype=float).reshape(-1)
     if len(t) != S.dim:
@@ -286,21 +286,39 @@ def _partner_dist(A: PointSet, B: PointSet, cap: float) -> np.ndarray:
     return np.sqrt(B.grid(max(cap, B.hardcore_radius)).nn_d2(A.points, cap))
 
 
-def _covering_scale(sides, tol: float) -> float:
-    """The scale metric from each side's (norms, partner, other_window).
+def _covering_scale(S: PointSet, S2: PointSet, nodes: np.ndarray,
+                    tnorm: np.ndarray, tol: float) -> np.ndarray:
+    """Per node t, ``metric_d`` of the translates S - t and S2 - t.
 
     A point with norm n and partner distance b breaks scale a when it lies
     in the clipped domain B_min(1/a, W' - a), W' the other set's window, and
     b > a: exactly when a < min(b, 1/n, W' - n). The infimum of the scales
     no point breaks is the max of that bound, clipped to [tol, METRIC_CAP].
+    At node t, n is a point's norm in its set's translate, counted when
+    ``translate`` keeps the point; the other translate's window is
+    max(0, W' - |t|), |t| given by tnorm; and b is read on the untranslated
+    sets, where translation moves it only by rounding, so no translate is
+    built. metric_d itself is the one node t = 0, where every point is
+    kept. The bound runs on a (nodes x points) array in node blocks of at
+    most about ``_PAIR_BLOCK`` entries (``_row_blocks``); the max is exact.
     """
-    worst = tol
-    with np.errstate(divide="ignore"):
-        for norms, partner, other_window in sides:
-            bound = np.minimum(partner,
-                               np.minimum(1.0 / norms, other_window - norms))
-            worst = max(worst, float(np.max(bound, initial=tol)))
-    return min(worst, METRIC_CAP)
+    worst = np.full(len(nodes), tol)
+    for A, B in ((S, S2), (S2, S)):
+        partner = _partner_dist(A, B, METRIC_CAP)
+        own_w = np.maximum(0.0, A.window_radius - tnorm)
+        other_w = np.maximum(0.0, B.window_radius - tnorm)
+        for rows in _row_blocks(len(nodes), len(A)):
+            t = nodes[rows]
+            shifted = A.points[None, :, :] - t[:, None, :]
+            norms = np.sqrt(_sq_norms(shifted.reshape(-1, A.dim))).reshape(
+                len(t), len(A))
+            with np.errstate(divide="ignore"):
+                bound = np.minimum(partner, np.minimum(
+                    1.0 / norms, other_w[rows, None] - norms))
+            worst[rows] = np.maximum(worst[rows], np.max(
+                bound, axis=1, initial=tol,
+                where=_in_ball(norms, own_w[rows, None])))
+    return np.minimum(worst, METRIC_CAP)
 
 
 def metric_d(S: PointSet, S2: PointSet, tol: float = 1e-3) -> float:
@@ -310,8 +328,8 @@ def metric_d(S: PointSet, S2: PointSet, tol: float = 1e-3) -> float:
     radius min(1/a, W' - a), W' the other set's window, lies within ``a`` of
     the other set; the domain clip keeps the check off points the other
     window cannot faithfully represent. The infimum has a closed form
-    (``_covering_scale``), exact up to rounding; values below tol are
-    reported as tol.
+    (``_covering_scale`` at the one node t = 0), exact up to rounding;
+    values below tol are reported as tol.
     """
     if S.dim != S2.dim:
         raise DimensionMismatch("point sets live in different dimensions")
@@ -319,9 +337,8 @@ def metric_d(S: PointSet, S2: PointSet, tol: float = 1e-3) -> float:
         raise InvalidArgument("tol must lie in (0, 1/sqrt(2))")
     _check_reach(1.0 / tol, min(S.window_radius, S2.window_radius),
                  WindowTooSmall, f"covering check at scale tol={tol:g}")
-    return _covering_scale([(A.norms(), _partner_dist(A, B, METRIC_CAP),
-                             B.window_radius) for A, B in ((S, S2), (S2, S))],
-                           tol)
+    return float(_covering_scale(S, S2, np.zeros((1, S.dim)), np.zeros(1),
+                                 tol)[0])
 
 
 def upper_density(S: PointSet, radii) -> DensityEstimate:

@@ -28,11 +28,11 @@ from .errors import (
     SupportTooLarge,
     WindowTooSmall,
 )
-from .gridindex import _row_blocks, _sq_norms
 from .pointset import (
     METRIC_CAP,
     PointSet,
     _check_reach,
+    _covering_scale,
     _in_ball,
     _partner_dist,
     ball_volume,
@@ -158,10 +158,8 @@ def dbar_c(S: PointSet, S2: PointSet, R: float, quad_points: int = 48,
     Midpoint quadrature on the translation ball B_R; per_radius reports the
     running averages over the nested sub-balls R * schedule_fractions, and
     the headline value is the max over that schedule's tail. The value at
-    a node t is ``metric_d(translate(S, t), translate(S2, t), tol)`` with
-    each point's partner distance read on the untranslated sets, where
-    translation moves it only by rounding: no translate is built, and
-    every node is evaluated at once (``_node_breaks``).
+    a node t is ``metric_d(translate(S, t), translate(S2, t), tol)``, every
+    node evaluated at once by ``metric_d``'s kernel (``_covering_scale``).
     """
     _check_pair(S, S2)
     if not (0.0 < tol < METRIC_CAP):
@@ -171,38 +169,8 @@ def dbar_c(S: PointSet, S2: PointSet, R: float, quad_points: int = 48,
                  WindowTooSmall, "R + 1/tol")
     nodes, h = _midpoint_grid(R, S.dim, quad_points)
     tnorm = np.array([float(np.linalg.norm(t)) for t in nodes])
-    worst = np.maximum(_node_breaks(S, S2, nodes, tnorm, tol),
-                       _node_breaks(S2, S, nodes, tnorm, tol))
-    return _ball_report(nodes, h, np.minimum(worst, METRIC_CAP), radii)
-
-
-def _node_breaks(A: PointSet, B: PointSet, nodes: np.ndarray,
-                 tnorm: np.ndarray, tol: float) -> np.ndarray:
-    """Per node t, ``_covering_scale``'s bound over A's side of the translates.
-
-    The max, floored at tol, of min(b, 1/n, W_B(t) - n) over the points of
-    A - t that ``translate`` keeps, where n is a point's norm in A - t, b
-    its partner distance in B read on the untranslated sets, and W_B(t) =
-    max(0, W_B - |t|). ``translate``'s and ``_covering_scale``'s elementwise
-    expressions run on a (nodes x points) array, in node blocks of at most
-    about ``_PAIR_BLOCK`` entries; the max is exact, so each node's value
-    equals ``_covering_scale``'s on the kept rows.
-    """
-    partner = _partner_dist(A, B, METRIC_CAP)
-    own_w = np.maximum(0.0, A.window_radius - tnorm)
-    other_w = np.maximum(0.0, B.window_radius - tnorm)
-    out = np.empty(len(nodes))
-    for rows in _row_blocks(len(nodes), len(A)):
-        t = nodes[rows]
-        shifted = A.points[None, :, :] - t[:, None, :]
-        norms = np.sqrt(_sq_norms(shifted.reshape(-1, A.dim))).reshape(
-            len(t), len(A))
-        with np.errstate(divide="ignore"):
-            bound = np.minimum(partner, np.minimum(
-                1.0 / norms, other_w[rows, None] - norms))
-        out[rows] = np.max(bound, axis=1, initial=tol,
-                           where=_in_ball(norms, own_w[rows, None]))
-    return out
+    return _ball_report(nodes, h, _covering_scale(S, S2, nodes, tnorm, tol),
+                        radii)
 
 
 def _mu_conv_f_batch(S: PointSet, f: TestFunction, u: np.ndarray) -> np.ndarray:

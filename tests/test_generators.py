@@ -11,6 +11,7 @@ import oracles
 from apkit import generators
 from apkit.generators import (_cached_lattice, _lattice_base,
                               _project_counting_grazes)
+from apkit.gridindex import GridIndex
 
 TAU = ak.GOLDEN_RATIO
 C = math.sqrt(2.0 + TAU)
@@ -755,9 +756,18 @@ def test_palm_intensity_window_guard():
 
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("kind", ["ball", "box"])
-@pytest.mark.parametrize("base", [2.0, 6.0])
-def test_count_diffs_in_matches_brute(pair_block, dim, kind, base):
-    # base 6.0 gives many anchors, whose slab holds most of the sample
+@pytest.mark.parametrize("base", [1.5, 2.0, 6.0])
+def test_count_diffs_in_matches_brute(monkeypatch, pair_block, dim, kind, base):
+    # base 6.0 gives many anchors, whose runs in 2D hold most of the sample
+    # many times over, so the count walks a grid instead; base 1.5 keeps to
+    # the runs in both dimensions (in 1D the runs are always kept)
+    grids = []
+
+    def grid(self, cell):
+        grids.append(cell)
+        return GridIndex(self.points, cell)
+
+    monkeypatch.setattr(ak.PointSet, "grid", grid)
     rng = np.random.default_rng(dim)
     W = 9.0 if dim == 1 else 8.0
     pts = rng.uniform(-W, W, size=(200 if dim == 1 else 300, dim))
@@ -777,6 +787,10 @@ def test_count_diffs_in_matches_brute(pair_block, dim, kind, base):
     assert len(anchors) > (100 if base == 6.0 else 0)
     got = generators._count_diffs_in(chi, anchors, A)
     assert got == int(want.sum()) > 0
+    if dim == 1 or base == 1.5:
+        assert grids == []
+    elif base == 6.0:
+        assert len(grids) == 1
 
 
 def test_palm_estimate_json_fields():

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import apkit as ak
 import oracles
-from apkit import gridindex, pseudometrics
+from apkit import gridindex, pointset, pseudometrics
 
 
 RADII = [40.0, 60.0, 80.0]
@@ -279,9 +279,8 @@ def test_dbar_c_2d_node_blocks_match_brute(monkeypatch, block):
                                       B.window_radius, nodes, tol)
     assert len(set(vals.tolist())) > 1
     tnorm = np.array([float(np.linalg.norm(t)) for t in nodes])
-    got = np.maximum(pseudometrics._node_breaks(A, B, nodes, tnorm, tol),
-                     pseudometrics._node_breaks(B, A, nodes, tnorm, tol))
-    assert np.array_equal(np.minimum(got, 1.0 / np.sqrt(2.0)), vals)
+    got = pointset._covering_scale(A, B, nodes, tnorm, tol)
+    assert np.array_equal(got, vals)
     rep = ak.dbar_c(A, B, R, quad_points=quad_points, tol=tol)
     norms = np.sqrt(np.sum(nodes ** 2, axis=1))
     assert rep.per_radius.tolist() == [float(np.mean(vals[norms <= rr]))
