@@ -21,9 +21,17 @@ from .errors import (
     EmptyCandidateSet,
     InvalidArgument,
     NoAtomAtZero,
+    RadiusExceedsWindow,
     TranslationExceedsWindow,
+    WindowTooSmall,
 )
-from .gridindex import GridIndex
+from .gridindex import (
+    GridIndex,
+    _row_blocks,
+    _run_blocks,
+    _sorted_runs,
+    _sq_norms,
+)
 from .pointset import (
     PointSet,
     _check_reach,
@@ -32,10 +40,7 @@ from .pointset import (
     ball_volume,
     mean_nn_spacing,
     relative_density_gap,
-    translate,
-    upper_density,
 )
-from .pseudometrics import asymmetric_mismatch
 from .testfunc import TestFunction
 from .util import Record, fmt_float, schedule, tail_mean, tail_spread
 
@@ -493,6 +498,11 @@ def criterion_almost_periods(S: PointSet, eps: float, t_candidates, radii, *,
     For each candidate, points of S with no point of S - t within eps form
     the mismatch set; its upper density along the schedule must not exceed
     eps. Candidates must leave room: |t| + eps + max(radii) <= window.
+
+    Each density equals ``upper_density(asymmetric_mismatch(S,
+    translate(S, t), eps), radii).value`` bit for bit, and each candidate
+    raises what those calls would, but no translate is built: every
+    candidate is scored in one pass (``_mismatch_counts``).
     """
     cand, reach, search_radius = _candidates(t_candidates, S.dim,
                                              search_radius)
@@ -502,14 +512,85 @@ def criterion_almost_periods(S: PointSet, eps: float, t_candidates, radii, *,
     # the schedule against the smallest mismatch window, W - |t| - eps
     _check_reach(radii[-1], S.window_radius - reach - eps,
                  TranslationExceedsWindow, "schedule")
-    densities = np.array([
-        upper_density(asymmetric_mismatch(S, translate(S, t), eps),
-                      radii).value
-        for t in cand])
+    tnorm, w_eval = _mismatch_windows(S, cand, eps, radii)
+    counts = _mismatch_counts(S, cand, eps, tnorm, w_eval, radii, reach)
+    values = counts / np.array([ball_volume(S.dim, r) for r in radii])
+    densities = np.max(values[:, len(radii) // 2:], axis=1)   # util.tail_max
     return _finish_report("C5_almost_periods", eps, cand, densities <= eps,
                           gap_bound, search_radius, True,
                           {"candidates": int(len(cand)),
                            "densities": densities.tolist()})
+
+
+def _mismatch_windows(S: PointSet, cand: np.ndarray, eps: float, radii):
+    """Per candidate t, |t| and the mismatch set's window W - |t| - eps.
+
+    Computed, and checked in order, as ``translate``, ``asymmetric_mismatch``
+    and ``upper_density`` compute and check them, so a candidate raises
+    what those calls would raise.
+    """
+    W = S.window_radius
+    tnorm, w_eval = np.empty(len(cand)), np.empty(len(cand))
+    for i, t in enumerate(cand):
+        tnorm[i] = float(np.linalg.norm(t))
+        _check_reach(tnorm[i], W, TranslationExceedsWindow, "|t|")
+        if not (eps > 0):
+            raise InvalidArgument("mismatch scale a must be positive")
+        w_eval[i] = min(W, max(0.0, W - tnorm[i])) - eps
+        if w_eval[i] <= 0:
+            raise WindowTooSmall("windows too small for this mismatch scale")
+        _check_reach(radii[-1], w_eval[i], RadiusExceedsWindow, "schedule")
+    return tnorm, w_eval
+
+
+def _mismatch_counts(S: PointSet, cand: np.ndarray, eps: float,
+                     tnorm: np.ndarray, w_eval: np.ndarray, radii,
+                     reach: float) -> np.ndarray:
+    """(candidates x radii) counts of each mismatch set in each closed ball.
+
+    A point x of S is matched at t when some y of S has
+    ``_sq_norms((y - t) - x) <= eps * eps`` and y - t lies in the translate's
+    window (``_in_ball(|y - t|, max(0, W - |t|))``): the d2 expression and
+    clip of ``translate`` then ``nn_d2``, so the matches are theirs. The
+    partners y are found around the queries x + t by one search over S:
+    runs of the sorted coordinates in dimension 1 (``_sorted_runs``), one
+    ``GridIndex`` walk in higher dimensions. The search radius is eps plus
+    a slack of 1e-9 * (eps + W + max |t|); every coordinate and difference
+    here is below W + max |t| in size, so each rounds by far less, and no
+    partner is missed. Queries go in blocks of at most about _PAIR_BLOCK
+    (``_row_blocks``). x counts in B_r when it is unmatched and
+    ``_in_ball`` holds for its norm, from S's cached norms, against both
+    its window and r.
+    """
+    W, n = S.window_radius, len(S)
+    pad = eps * (1.0 + 1e-9) + 1e-9 * (eps + W + reach)
+    norms = S.norms()
+    in_r = np.array([_in_ball(norms, r) for r in radii], dtype=np.int64)
+    grid = S.grid(max(pad, S.hardcore_radius)) if S.dim > 1 else None
+    counts = np.zeros((len(cand), len(radii)), dtype=np.int64)
+    for rows in _row_blocks(len(cand), n):
+        t = cand[rows]
+        queries = (S.points[None, :, :] + t[:, None, :]).reshape(-1, S.dim)
+        if grid is None:
+            pairs = _run_blocks(np.arange(len(queries)), *_sorted_runs(
+                S.points[:, 0], queries[:, 0], pad))
+        else:
+            pairs = ((np.compress(keep, q), np.compress(keep, p))
+                     for q, p, _, keep in grid._blocks(queries, pad))
+        matched = np.zeros(len(queries), dtype=bool)
+        for qrows, prows in pairs:
+            c, x = np.divmod(qrows, n)
+            shifted = np.take(S.points, prows, axis=0)
+            shifted -= np.take(t, c, axis=0)
+            hit = _in_ball(np.sqrt(_sq_norms(shifted)),
+                           np.maximum(0.0, W - np.take(tnorm[rows], c)))
+            shifted -= np.take(S.points, x, axis=0)
+            hit &= _sq_norms(shifted) <= eps * eps
+            matched[np.compress(hit, qrows)] = True
+        unmatched = ~matched.reshape(len(t), n) & _in_ball(
+            norms[None, :], w_eval[rows, None])
+        counts[rows] = unmatched.astype(np.int64) @ in_r.T
+    return counts
 
 
 def _profile_index(mu: WeightedAtomMeasure, f: TestFunction):

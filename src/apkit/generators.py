@@ -26,7 +26,13 @@ from .errors import (
     SingularBasis,
     WindowTooSmall,
 )
-from .gridindex import GridIndex, _run_blocks, _sq_norms
+from .gridindex import (
+    GridIndex,
+    _expand_runs,
+    _run_blocks,
+    _sorted_runs,
+    _sq_norms,
+)
 from .pointset import PointSet, RegionSpec, _check_reach, _in_ball, ball_volume
 from .util import Record, schedule
 
@@ -45,13 +51,15 @@ _LEAF_ROWS = 4_096
 
 
 def _pruned_leaves(lo: np.ndarray, hi: np.ndarray, bounds):
-    """Sub-boxes of the integer box lo..hi that no bound proves empty.
+    """Rows of the integer box lo..hi that no bound proves unwanted.
 
     A bound (M, c, r) says every wanted row x has |M x - c| <= r. The box
     is split recursively along its longest axis. A sub-box with centre m and
     half-widths h is dropped when |M m - c| > r + ||M| h|, because
     |M (x - m)| <= ||M| h| for each of its rows x. Sub-boxes of at most
-    _LEAF_ROWS rows are kept whole, as int64 rows in row-major order.
+    _LEAF_ROWS rows are leaves, cut by ``_leaf_rows`` to the rows whose last
+    coordinate may meet every bound and yielded as int64 rows in row-major
+    order.
     """
     stack = [(lo, hi)]
     while stack:
@@ -62,9 +70,9 @@ def _pruned_leaves(lo: np.ndarray, hi: np.ndarray, bounds):
             continue
         size = hi - lo + 1
         if np.prod(size) <= _LEAF_ROWS:
-            axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(lo, hi)]
-            yield np.stack(np.meshgrid(*axes, indexing="ij"),
-                           axis=-1).reshape(-1, len(axes))
+            rows = _leaf_rows(lo, hi, bounds)
+            if len(rows):
+                yield rows
             continue
         k = int(np.argmax(size))
         mid = (lo[k] + hi[k]) // 2
@@ -73,23 +81,84 @@ def _pruned_leaves(lo: np.ndarray, hi: np.ndarray, bounds):
         stack += [(right_lo, hi), (lo, left_hi)]
 
 
-def _box_blocks(lo: np.ndarray, hi: np.ndarray, bounds, what: str):
-    """The rows of the integer box lo..hi (inclusive) that may pass bounds.
+def _leaf_rows(lo: np.ndarray, hi: np.ndarray, bounds) -> np.ndarray:
+    """The rows of the leaf lo..hi whose last coordinate may meet every bound.
 
-    Raises ConfigError, before allocating anything, when the full box holds
-    more than _ENUM_LIMIT points. The rows of ``_pruned_leaves`` come
-    concatenated and cut into blocks of _BLOCK_ROWS rows, the last one
-    holding 2 to _BLOCK_ROWS + 1 rows: a one-row product takes numpy's
-    vector path, which rounds differently from the matrix path, and so
-    would products taken one small leaf at a time. Rows are not in
-    row-major order; callers hand their points to PointSet, which sorts.
+    Fix a prefix (every coordinate but the last) and let the last one be
+    mid + s, mid the middle of its range. With A = M (prefix, mid) - c and
+    b the last column of M, |M x - c|**2 = P + |b|**2 (s - s0)**2, where
+    s0 = -(A . b)/|b|**2 and P = |A|**2 - (A . b)**2/|b|**2. So a bound
+    keeps s within sqrt((r**2 - P))/|b| of s0, and a prefix with P > r**2
+    keeps none. The rows kept are those interval's integers, widened by one
+    integer step on each side, over every bound.
+
+    Rounding: A is computed as the sub-box test computes M m - c, whose
+    rounding the bounds' margins already cover. From A, the computed r**2 - P
+    errs by at most (2 d + 6) u (r**2 + |A|**2) (u = 2**-53, d the rows of
+    M, (A . b)**2/|b|**2 <= |A|**2), so a prefix is dropped only when
+    r**2 - P < -2**-30 (r**2 + |A|**2). The computed half-width then errs
+    by at most sqrt((2 d + 6) u) (r + |A|)/|b| and s0 by (d + 3) u |A|/|b|.
+    The cut is made only where r + |A| <= 2**20 |b|, which keeps both below
+    a tenth of a step for d <= 8, so the one-step widening covers them;
+    other prefixes, and every prefix of a bound with b = 0, keep their whole
+    range.
     """
-    lo = np.asarray(lo, dtype=np.int64)
-    hi = np.asarray(hi, dtype=np.int64)
+    axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(lo[:-1], hi[:-1])]
+    prefix = (np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(
+        -1, len(axes)) if axes else np.zeros((1, 0), dtype=np.int64))
+    mid = (lo[-1] + hi[-1]) // 2
+    first = np.full(len(prefix), float(lo[-1] - mid))
+    last = np.full(len(prefix), float(hi[-1] - mid))
+    centre = np.hstack([prefix, np.full((len(prefix), 1), mid)]).astype(float)
+    for M, c, r in bounds:
+        b = M[:, -1]
+        q = float(b @ b)
+        if q == 0.0:
+            continue
+        A = centre @ M.T - c
+        aa = _sq_norms(A)
+        ab = A @ b
+        disc = r * r - (aa - ab * ab / q)
+        cut = np.sqrt(aa) + r <= 2.0 ** 20 * math.sqrt(q)
+        empty = cut & (disc < -2.0 ** -30 * (r * r + aa))
+        s0 = -ab / q
+        h = np.sqrt(np.maximum(disc, 0.0) / q)
+        first = np.where(cut, np.maximum(first, np.ceil(s0 - h - 1.0)), first)
+        last = np.where(cut, np.minimum(last, np.floor(s0 + h + 1.0)), last)
+        last[empty] = first[empty] - 1.0
+    lens = np.maximum(last - first + 1.0, 0.0).astype(np.int64)
+    pre, s = _expand_runs(np.arange(len(prefix)), first.astype(np.int64), lens)
+    rows = np.empty((len(s), len(lo)), dtype=np.int64)
+    rows[:, :-1] = prefix[pre]
+    rows[:, -1] = s + mid
+    return rows
+
+
+def _check_box(lo: np.ndarray, hi: np.ndarray, what: str) -> None:
+    """Raise ConfigError when the integer box lo..hi holds more than
+    _ENUM_LIMIT points."""
     total = int(np.prod((hi - lo + 1).astype(object)))
     if total > _ENUM_LIMIT:
         raise ConfigError(f"{what} would scan {total} lattice points; "
                           "reduce the radius or the window")
+
+
+def _box_blocks(lo: np.ndarray, hi: np.ndarray, bounds, what: str | None):
+    """The rows of the integer box lo..hi (inclusive) that may pass bounds.
+
+    Raises ConfigError, before allocating anything, when the full box holds
+    more than _ENUM_LIMIT points (``_check_box``, naming what); what=None
+    skips that check, for a caller that checked its own box. The rows of
+    ``_pruned_leaves`` come concatenated and cut into blocks of _BLOCK_ROWS
+    rows, the last one holding 2 to _BLOCK_ROWS + 1 rows: a one-row product
+    takes numpy's vector path, which rounds differently from the matrix
+    path, and so would products taken one small leaf at a time. Rows are not
+    in row-major order; callers hand their points to PointSet, which sorts.
+    """
+    lo = np.asarray(lo, dtype=np.int64)
+    hi = np.asarray(hi, dtype=np.int64)
+    if what is not None:
+        _check_box(lo, hi, what)
     pending, n = [], 0
     for leaf in _pruned_leaves(lo, hi, bounds):
         pending.append(leaf)
@@ -323,9 +392,12 @@ def rationality_report(vector, max_denominator: int = 10 ** 6) -> list[str]:
 
 
 def _graze_mask(window: RegionSpec, w: np.ndarray) -> np.ndarray:
-    """Rows whose internal coordinates lie exactly on the window boundary."""
+    """Rows whose internal coordinates lie exactly on the window boundary:
+    in the closed box with a coordinate on one of its faces, or at the
+    ball's radius."""
     if window.kind == "box":
-        return np.any((w == window.lo) | (w == window.hi), axis=1)
+        closed = np.all((w >= window.lo) & (w <= window.hi), axis=1)
+        return closed & np.any((w == window.lo) | (w == window.hi), axis=1)
     d2 = np.sum((w - window.center) ** 2, axis=1)
     return d2 == window.radius ** 2
 
@@ -333,47 +405,100 @@ def _graze_mask(window: RegionSpec, w: np.ndarray) -> np.ndarray:
 def _enumerate_strip(cfg: CutProjectConfig):
     """The strip's physical points and its count of grazing translates.
 
-    Scans the integer box covering the strip segment, pruned by
-    ``_box_blocks`` to the rows whose internal coordinates may reach the
-    window and whose physical coordinates may reach rho_E (the output
-    radius plus the deformation bound). The margins of both bounds cover
-    the keep test's relative 1e-12, so no grazing translate is dropped.
-    Grazes are the translates exactly on the window boundary within rho_E:
-    the ones that can reach the output.
+    Decides the rows m of the integer box covering the strip segment, as
+    translates z = m + u of the torus offset u. The rows come from
+    ``_strip_rows`` for the whole unit cell of offsets floor(u) + [0, 1)^n:
+    every row whose internal coordinates may reach the window and whose
+    physical coordinates may reach rho_E (the output radius plus the
+    deformation bound) for some offset of the cell. The margins of both
+    bounds cover the keep test's relative 1e-12, so no grazing translate is
+    dropped. Each row then takes the exact window, graze and output tests
+    at u. Grazes are the translates exactly on the window boundary within
+    rho_E: the ones that can reach the output. The box for u itself is
+    checked against _ENUM_LIMIT first, cached or not.
     """
     amp = cfg.deformation.bound() if cfg.deformation else 0.0
     rho_E = cfg.output_radius + amp + 1e-9
     rho = math.sqrt(rho_E ** 2 + cfg.window.outer_radius() ** 2)
-    lo = np.floor(-rho - cfg.torus_offset).astype(np.int64)
-    hi = np.ceil(rho - cfg.torus_offset).astype(np.int64)
+    offset = cfg.torus_offset
+    _check_box(np.floor(-rho - offset).astype(np.int64),
+               np.ceil(rho - offset).astype(np.int64), "strip enumeration")
     window = cfg.window
     if window.kind == "ball":
         c_W, r_W = window.center, window.radius
     else:
         c_W = (window.lo + window.hi) / 2.0
         r_W = float(np.linalg.norm(window.hi - window.lo)) / 2.0
-    E, F, offset = cfg.E_basis, cfg.F_basis, cfg.torus_offset
-    margin = 1e-9 * (1.0 + rho)
-    bounds = [(F, c_W - F @ offset, r_W + margin),
-              (E, -(E @ offset), rho_E + margin)]
+    E, F = cfg.E_basis, cfg.F_basis
     phys_parts = [np.empty((0, cfg.physical_dim))]
     grazes = 0
-    for mesh in _box_blocks(lo, hi, bounds, "strip enumeration"):
-        z = mesh + offset
+    for rows in _strip_rows(E, F, c_W, r_W, rho_E, rho, np.floor(offset)):
+        z = rows + offset
         w = z @ F.T
-        on_edge = z[_graze_mask(window, w)]
-        grazes += int(np.count_nonzero(
-            np.sum((on_edge @ E.T) ** 2, axis=1) <= rho_E ** 2))
+        phys = z @ E.T
+        grazes += int(np.count_nonzero(_graze_mask(window, w) & (
+            np.sum(phys ** 2, axis=1) <= rho_E ** 2)))
         inside = window.contains(w)
         if not np.any(inside):
             continue
-        z, w = z[inside], w[inside]
-        phys = z @ E.T
+        phys, w = phys[inside], w[inside]
         if cfg.deformation is not None:
             phys = phys + cfg.deformation(w)
         keep = np.sum(phys ** 2, axis=1) <= cfg.output_radius ** 2 * (1 + 1e-12)
         phys_parts.append(phys[keep])
     return np.concatenate(phys_parts), grazes
+
+
+#: row blocks of recent strip cells, oldest first, by their ``_strip_rows``
+#: key; they hold at most _STRIP_CACHE_ROWS rows in all
+_strip_cells: dict = {}
+_STRIP_CACHE_ROWS = 1 << 20
+
+
+def _strip_rows(E, F, c_W, r_W: float, rho_E: float, rho: float,
+                cell: np.ndarray):
+    """The row blocks of ``_box_blocks`` for the unit cell of offsets
+    cell + [0, 1)^n, read-only.
+
+    A wanted row m at offset u has |F (m + u) - c_W| <= r_W and
+    |E (m + u)| <= rho_E (each plus the margin 1e-9 (1 + rho)). With
+    u = cell + 1/2 + v, |v_i| <= 1/2, that gives the bounds at the cell's
+    centre widened by ||F| / 2| and ||E| / 2|, the sub-box rule of
+    ``_pruned_leaves``; the box floor(-rho - cell - 1)..ceil(rho - cell)
+    holds the box of every offset in the cell. A cell's blocks are kept,
+    keyed on E, F, the window's bounding ball (c_W, r_W), rho_E, rho and the
+    cell, when they hold at most _STRIP_CACHE_ROWS rows, evicting the oldest
+    cells to stay within that; larger cells stream uncached.
+    """
+    key = (E.tobytes(), F.tobytes(), E.shape, np.asarray(c_W).tobytes(),
+           float(r_W), rho_E, rho, cell.tobytes())
+    hit = _strip_cells.get(key)
+    if hit is not None:
+        yield from hit
+        return
+    half = np.full(len(cell), 0.5)
+    margin = 1e-9 * (1.0 + rho)
+    bounds = [(F, c_W - F @ (cell + 0.5),
+               r_W + margin + float(np.linalg.norm(np.abs(F) @ half))),
+              (E, -(E @ (cell + 0.5)),
+               rho_E + margin + float(np.linalg.norm(np.abs(E) @ half)))]
+    kept, n = [], 0
+    for block in _box_blocks(np.floor(-rho - cell - 1.0), np.ceil(rho - cell),
+                             bounds, None):
+        block.setflags(write=False)
+        n += len(block)
+        if kept is not None and n <= _STRIP_CACHE_ROWS:
+            kept.append(block)
+        else:
+            kept = None
+        yield block
+    if kept is not None:
+        def cached_rows():
+            return sum(len(b) for blocks in _strip_cells.values() for b in blocks)
+
+        while _strip_cells and n + cached_rows() > _STRIP_CACHE_ROWS:
+            del _strip_cells[next(iter(_strip_cells))]
+        _strip_cells[key] = tuple(kept)
 
 
 class WindowGraze(UserWarning):
@@ -420,15 +545,6 @@ def _project_counting_grazes(cfg: CutProjectConfig) -> tuple[PointSet, int]:
     keeps only norms within the window, and the GridIndex rejects
     non-finite coordinates.
     """
-    findings: list[str] = []
-    for row in cfg.E_basis:
-        findings = rationality_report(row)
-        if not findings:
-            break
-    if findings:
-        warnings.warn(
-            "no E-basis vector passed the irrationality heuristic: "
-            + "; ".join(findings), stacklevel=3)
     points, grazes = _enumerate_strip(cfg)
     if len(points) < 2:
         return PointSet(points, cfg.output_radius, max(cfg.output_radius, 1.0),
@@ -621,15 +737,16 @@ def sample(p: ProcessSampler, index: int = 0) -> PointSet:
         props = _uniform_in_ball(rng, n, _process_dim(p), buf)
         marks = rng.random(n)
         if n:
-            grid = GridIndex(props, r)
-            qi, pi = grid.pairs_within(props, r)
+            qi, pi = (_pairs_within_sorted(props, r) if props.shape[1] == 1
+                      else GridIndex(props, r).pairs_within(props, r))
             older = (marks[pi] < marks[qi]) | ((marks[pi] == marks[qi]) & (pi < qi))
             killed = np.zeros(n, dtype=bool)
             np.logical_or.at(killed, qi, older)
             props = props[~killed]
         pts = props[np.sum(props ** 2, axis=1) <= W * W * (1 + 1e-12)]
-        # Dependent thinning separates by construction. pairs_within lists
-        # every pair with d2 <= r*r in both orders; `older` is a strict total
+        # Dependent thinning separates by construction. The pair query lists
+        # every pair with d2 <= r*r in both orders (runs of the sorted
+        # proposals in 1D, a grid walk above); `older` is a strict total
         # order (mark, then row), so each such pair loses its younger member.
         # Survivors are pairwise d2 > r*r with the check's own expression,
         # and the check queries r*(1 - 1e-9). Norms are clipped to the window
@@ -652,6 +769,25 @@ def sample(p: ProcessSampler, index: int = 0) -> PointSet:
     # validated: base_r - 2*noise_bound can come arbitrarily close to 0,
     # where coordinate rounding outgrows the check's 1e-9 * r slack
     return PointSet(pts, W, base_r - 2.0 * p.noise_bound)
+
+
+def _pairs_within_sorted(points: np.ndarray, r: float):
+    """The pairs of ``GridIndex(points, r).pairs_within(points, r)``, in
+    another order, for 1D points.
+
+    Each point's candidates are one run of the sorted coordinates within r,
+    padded for rounding (``_sorted_runs``), and a pair is kept by the pair
+    walk's test ``_sq_norms(points[p] - points[q]) <= r * r``: a computed
+    d2 <= r*r puts the points within r (1 + 2**-51) of each other, inside
+    the pad.
+    """
+    order = np.argsort(points[:, 0], kind="stable")
+    col = points[order, 0]
+    qi, flat = _expand_runs(order, *_sorted_runs(
+        col, col, r * (1.0 + 1e-9) + 1e-9 * np.abs(col)))
+    pi = order[flat]
+    keep = _sq_norms(points[pi] - points[qi]) <= r * r
+    return qi[keep], pi[keep]
 
 
 def matern_effective_intensity(p: ProcessSampler) -> float:
@@ -697,9 +833,8 @@ def _count_diffs_in(chi: PointSet, anchors: np.ndarray, A: RegionSpec) -> int:
     else:
         queries, reach = anchors, A.outer_radius()
     q0 = queries[:, 0]
-    pad = reach * (1.0 + 1e-9) + 1e-9 * np.abs(q0)
-    left = np.searchsorted(chi.points[:, 0], q0 - pad)
-    lens = np.searchsorted(chi.points[:, 0], q0 + pad, side="right") - left
+    left, lens = _sorted_runs(chi.points[:, 0], q0,
+                              reach * (1.0 + 1e-9) + 1e-9 * np.abs(q0))
     if chi.dim == 1 or int(lens.sum()) <= 2 * len(chi):
         pairs = _run_blocks(np.arange(len(queries)), left, lens)
     else:

@@ -1,11 +1,14 @@
 """Uniform-grid spatial index over a fixed batch of points.
 
-Points are bucketed once into hypercube cells of a fixed edge length and
-sorted by row-major cell code. A query cell's run of points is read from a
-dense table of cell starts when the code range is at most 8 cells per point
-plus 4096, and found by two binary searches on the sorted codes otherwise
-(``_runs``). A walk looks up every cell offset x query cell at once, in
-slices of at most ``_PAIR_BLOCK`` cells (``_lookups``). All query methods
+Points are bucketed into hypercube cells of a fixed edge length and sorted
+by row-major cell code. Construction checks the code range only; the codes,
+their sort and the start table are built by the first walk (``_tables``),
+so a 1D index used only for ``nn_d2`` never builds them. A query cell's run
+of points is read from a dense table of cell starts when the code range is
+at most 8 cells per point plus 4096, and found by two binary searches on
+the sorted codes otherwise (``_runs``). A walk looks up every cell offset x
+query cell at once, in slices of at most ``_PAIR_BLOCK`` cells
+(``_lookups``); the offset cubes are built once (``_cube``). All query methods
 are vectorized over query batches and use closed Euclidean balls. Pair
 queries walk their candidates in blocks of at most ``_PAIR_BLOCK``
 (``_blocks``), so a walk's working set does not grow with its pair count.
@@ -30,10 +33,14 @@ cells for all pending queries at once. Either way it computes d2 as
 at most ``_PAIR_BLOCK`` entries for callers that test every pair of two
 small sets without a grid. ``_run_blocks`` cuts ragged runs of candidates
 the same way, for the walk here and for callers that find each query's run
-by binary search on a sorted column instead.
+by binary search on a sorted column instead (``_sorted_runs``: the Palm
+counts, C5's 1D partner search and 1D Matern thinning).
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -94,11 +101,52 @@ def _row_blocks(rows: int, width: int):
     return [slice(s, s + step) for s in range(0, rows, step)]
 
 
-def _cube(k: int, dim: int) -> np.ndarray:
-    """The (2k + 1)**dim cell offsets in [-k, k]**dim, last axis fastest."""
+def _sorted_runs(col: np.ndarray, q: np.ndarray, pad):
+    """The run [left, left + lens) of the sorted 1D array col within pad of
+    each q (closed on both sides); pad is a scalar or one per q."""
+    left = np.searchsorted(col, q - pad)
+    lens = np.searchsorted(col, q + pad, side="right") - left
+    return left, lens
+
+
+@functools.lru_cache(maxsize=64)
+def _cached_cube(k: int, dim: int) -> np.ndarray:
     side = np.arange(-k, k + 1)
-    return np.stack(np.meshgrid(*[side] * dim, indexing="ij"),
+    cube = np.stack(np.meshgrid(*[side] * dim, indexing="ij"),
                     axis=-1).reshape(-1, dim)
+    cube.setflags(write=False)
+    return cube
+
+
+def _cube(k: int, dim: int) -> np.ndarray:
+    """The (2k + 1)**dim cell offsets in [-k, k]**dim, last axis fastest.
+
+    Read-only. A cube of at most _PAIR_BLOCK entries is built once and kept
+    (the last 64 of them); a larger one is built on each call.
+    """
+    if (2 * k + 1) ** dim * dim <= _PAIR_BLOCK:
+        return _cached_cube(k, dim)
+    return _cached_cube.__wrapped__(k, dim)
+
+
+def _column_range(col: np.ndarray, cell: float, knob: str):
+    """(lo, size): the least floor cell of a nonempty column and the size of
+    its cell range; raises as ``_column_cells``. A column's extreme cells
+    are the floors of its extreme coordinates (division and floor are
+    monotone)."""
+    lo, hi = sorted((float(col.min() / cell), float(col.max() / cell)))
+    # bound before the cast: int64 conversion wraps silently; NaN fails too
+    if not -_MAX_CODES < lo <= hi < _MAX_CODES:
+        raise InvalidArgument(
+            "cell coordinates out of range: non-finite coordinates or a "
+            f"{knob} too fine for their extent")
+    # exact Python ints: e // 1 is floor(e) for finite e
+    return int(lo // 1), int(hi // 1) - int(lo // 1) + 1
+
+
+def _too_many_codes(total: int, knob: str) -> None:
+    if total >= _MAX_CODES:
+        raise InvalidArgument(f"{knob} too fine for the coordinate extent")
 
 
 def _column_cells(points: np.ndarray, cell: float, knob: str):
@@ -107,22 +155,13 @@ def _column_cells(points: np.ndarray, cell: float, knob: str):
     Yields (cells, lo, size) per column: the int64 floor cells shifted by
     their least value lo, and the size of their range. Raises
     InvalidArgument, naming `knob`, when a cell coordinate would overflow
-    int64 and, once every column has passed that check, when the row-major
-    code range (the product of the sizes) would. A column's extreme cells
-    are the floors of its extreme coordinates (division and floor are
-    monotone).
+    int64 (``_column_range``) and, once every column has passed that check,
+    when the row-major code range (the product of the sizes) would.
     """
     total = 1
     for d in range(points.shape[1]):
         col = points[:, d]
-        lo, hi = sorted((float(col.min() / cell), float(col.max() / cell)))
-        # bound before the cast: int64 conversion wraps silently; NaN fails too
-        if not -_MAX_CODES < lo <= hi < _MAX_CODES:
-            raise InvalidArgument(
-                "cell coordinates out of range: non-finite coordinates or a "
-                f"{knob} too fine for their extent")
-        # exact Python ints: e // 1 is floor(e) for finite e
-        lo, size = int(lo // 1), int(hi // 1) - int(lo // 1) + 1
+        lo, size = _column_range(col, cell, knob)
         cells = col / cell
         np.floor(cells, out=cells)
         cells = cells.astype(np.int64)
@@ -130,8 +169,15 @@ def _column_cells(points: np.ndarray, cell: float, knob: str):
         total *= size
         yield cells, lo, size
         del cells   # so a caller that drops it frees it before the next column
-    if total >= _MAX_CODES:
-        raise InvalidArgument(f"{knob} too fine for the coordinate extent")
+    _too_many_codes(total, knob)
+
+
+def _strides(sizes) -> np.ndarray:
+    """Row-major strides of a code range with these per-column sizes."""
+    strides = [1] * len(sizes)
+    for d in range(len(sizes) - 1, 0, -1):
+        strides[d - 1] = strides[d] * sizes[d]
+    return np.array(strides, dtype=np.int64)
 
 
 def _cell_codes(points: np.ndarray, cell: float, knob: str):
@@ -151,11 +197,8 @@ def _cell_codes(points: np.ndarray, cell: float, knob: str):
             codes += cells
         lo.append(m)
         sizes.append(size)
-    strides = [1] * len(sizes)
-    for d in range(len(sizes) - 1, 0, -1):
-        strides[d - 1] = strides[d] * sizes[d]
     return (codes, np.array(lo, dtype=np.int64),
-            np.array(sizes, dtype=np.int64), np.array(strides, dtype=np.int64))
+            np.array(sizes, dtype=np.int64), _strides(sizes))
 
 
 class GridIndex:
@@ -170,20 +213,33 @@ class GridIndex:
         self.dim = points.shape[1]
         self._starts = None
         self._sorted = None   # 1D: row order by coordinate, made by nn_d2
-        n = points.shape[0]
-        if n == 0:
+        if points.shape[0] == 0:
             self._mins = np.zeros(self.dim, dtype=np.int64)
             self._extents = np.ones(self.dim, dtype=np.int64)
             self._strides = np.ones(self.dim, dtype=np.int64)
             self._order = np.empty(0, dtype=np.int64)
             self._codes = np.empty(0, dtype=np.int64)
             return
-        codes, self._mins, self._extents, self._strides = _cell_codes(
-            points, self.cell, "cell_size")
+        # the code range is checked here; the codes wait for the first walk
+        lo, sizes = zip(*(_column_range(points[:, d], self.cell, "cell_size")
+                          for d in range(self.dim)))
+        _too_many_codes(math.prod(sizes), "cell_size")
+        self._mins = np.array(lo, dtype=np.int64)
+        self._extents = np.array(sizes, dtype=np.int64)
+        self._strides = _strides(sizes)
+        self._order = self._codes = None
+
+    def _tables(self) -> None:
+        """Build the walk's tables on its first call: the cell codes sorted,
+        their row order and, when the code range is at most 8 cells per
+        point plus 4096, the start table of ``_runs``."""
+        if self._order is not None:
+            return
+        codes = _cell_codes(self.points, self.cell, "cell_size")[0]
         self._order = np.argsort(codes, kind="stable")
         self._codes = codes[self._order]
         total = int(self._strides[0] * self._extents[0])
-        if total <= 8 * n + 4096:
+        if total <= 8 * len(codes) + 4096:
             # _starts[c] counts the points with a code below c, for c <= total
             self._starts = np.zeros(total + 1, dtype=np.int64)
             np.cumsum(np.bincount(codes, minlength=total), out=self._starts[1:])
@@ -221,6 +277,7 @@ class GridIndex:
         m = len(qcells)
         if m == 0:
             return
+        self._tables()
         rel = qcells - self._mins
         base = rel @ self._strides
         step = max(1, _PAIR_BLOCK // m)
@@ -230,7 +287,7 @@ class GridIndex:
             for d in range(self.dim):
                 cells = rel[:, d] + off[:, d, None]   # (offsets, queries)
                 valid = valid & (cells >= 0) & (cells < self._extents[d])
-            shifts, rows = np.divmod(np.flatnonzero(valid), m)
+            shifts, rows = np.nonzero(valid)   # row-major: offsets outermost
             codes = np.take(base, rows)
             codes += np.take(off @ self._strides, shifts)
             yield (rows, *self._runs(codes))
@@ -272,7 +329,7 @@ class GridIndex:
         their ``_candidates`` first; by default each lookup is made as the
         walk reaches it.
         """
-        if self._order.size == 0:
+        if len(self.points) == 0:
             return
         r2 = radius * radius
         for rows, left, lens in (self._offset_runs(queries, radius)
@@ -334,7 +391,7 @@ class GridIndex:
         ``pairs_within(queries, r_max)`` does.
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
-        if self._order.size == 0 or queries.shape[0] == 0:
+        if len(self.points) == 0 or queries.shape[0] == 0:
             return np.full(queries.shape[0], np.inf)
         if self.dim == 1:
             best = self._nn_d2_sorted(queries, exclude_self)

@@ -39,8 +39,10 @@ def brute_strip_points(cfg):
     torus offset; it is kept when its internal coordinates w = F z lie in the
     window (closed ball, half-open box) and its deformed physical point lies
     in the output ball (relative slack 1e-12). A graze is a row with w
-    exactly on the window boundary and |E z| <= output radius + deformation
-    bound + 1e-9. Returns (points, grazes), points in scan order.
+    exactly on the window boundary (in the closed box with a coordinate on
+    a face, or at the ball's radius) and |E z| <= output radius +
+    deformation bound + 1e-9. Returns (points, grazes), points in scan
+    order.
     """
     E, F, W = cfg.E_basis, cfg.F_basis, cfg.window
     amp = float(np.linalg.norm(cfg.deformation.amplitude)) \
@@ -61,7 +63,8 @@ def brute_strip_points(cfg):
         inside, edge = d2 <= W.radius ** 2, d2 == W.radius ** 2
     else:
         inside = np.all((w >= W.lo) & (w < W.hi), axis=1)
-        edge = np.any((w == W.lo) | (w == W.hi), axis=1)
+        edge = np.all((w >= W.lo) & (w <= W.hi), axis=1) \
+            & np.any((w == W.lo) | (w == W.hi), axis=1)
     near = np.sum((z @ E.T) ** 2, axis=1) <= rho_E ** 2
     grazes = int(np.count_nonzero(edge & near))
     z, w = z[inside], w[inside]

@@ -292,7 +292,6 @@ def test_z2_periodogram_integer_and_off_integer_values():
         assert v <= (rows * line) ** 2 / vol * (1.0 + 1e-9)
 
 
-@pytest.mark.filterwarnings("ignore:no E-basis vector")
 def test_octagonal_bragg_peaks_are_eightfold():
     # an off-centre offset, so the set itself is not 8-fold symmetric; at
     # R = 16 its finite-R peak shifts reach 1.2e-3
@@ -358,7 +357,6 @@ def test_lattice_bragg_peaks_found_at_integers():
         assert p.stability < 0.01
 
 
-@pytest.mark.filterwarnings("ignore:no E-basis vector")
 def test_octagonal_peak_stability_is_measured():
     # three radii: the stability used to be the spread of one value, 0.0
     S = ak.cut_and_project(octagonal_config(16.0))
@@ -530,6 +528,115 @@ def test_almost_periods_rejects_bad_inputs(cands, radii, match):
     S = z_lattice(131.0)
     with pytest.raises(ak.InvalidArgument, match=match):
         ak.criterion_almost_periods(S, 0.1, cands, radii, gap_bound=20.0)
+
+
+# ---------------------------------------------------------------------------
+# C5 in one pass against one translate per candidate, bit for bit
+
+
+def c5_reference(S, eps, cand, radii):
+    """The mismatch densities of C5, one translate per candidate."""
+    return [ak.upper_density(ak.asymmetric_mismatch(S, ak.translate(S, t), eps),
+                             radii).value for t in cand]
+
+
+def record_c5_paths(monkeypatch, S):
+    """Count the run searches and the grids built over S during C5."""
+    seen = {"runs": 0, "grids": 0}
+    runs, build = diffraction._sorted_runs, GridIndex.__init__
+
+    def counting_runs(*args):
+        seen["runs"] += 1
+        return runs(*args)
+
+    def counting_build(self, points, cell_size):
+        seen["grids"] += points is S.points
+        build(self, points, cell_size)
+
+    monkeypatch.setattr(diffraction, "_sorted_runs", counting_runs)
+    monkeypatch.setattr(GridIndex, "__init__", counting_build)
+    return seen
+
+
+def assert_c5_matches_translates(monkeypatch, S, eps, cand, radii):
+    want = c5_reference(S, eps, cand, radii)
+    seen = record_c5_paths(monkeypatch, S)
+    rep = ak.criterion_almost_periods(S, eps, cand, radii, gap_bound=50.0)
+    assert rep.details["densities"] == want
+    assert rep.details["candidates"] == len(cand)
+    return seen, want
+
+
+@pytest.mark.parametrize("deformed", [False, True])
+def test_one_pass_c5_equals_translates_1d(monkeypatch, pair_block, deformed):
+    deformation = ak.SinusoidalDeformation([0.15], [1.3], 0.4) if deformed \
+        else None
+    S = ak.cut_and_project(ak.fibonacci_config(
+        250.0, torus_offset=(0.1234, 0.377), deformation=deformation))
+    rng = np.random.default_rng(5)
+    # differences of the set (near periods) and arbitrary shifts
+    diffs = (S.points[rng.integers(0, len(S), 90)]
+             - S.points[rng.integers(0, len(S), 90)])
+    cand = np.vstack([[[0.0]], diffs[np.abs(diffs[:, 0]) < 30.0],
+                      rng.uniform(-30.0, 30.0, (120, 1))])
+    # the candidates span several query blocks
+    assert len(diffraction._row_blocks(len(cand), len(S))) > 1
+    seen, want = assert_c5_matches_translates(monkeypatch, S, 0.05, cand,
+                                              [100.0, 150.0, 200.0])
+    assert seen["runs"] >= 1 and seen["grids"] == 0
+    assert min(want) < 0.05 < max(want)
+
+
+def test_one_pass_c5_keeps_a_partner_inside_the_clip_slack(monkeypatch):
+    # y - t lies beyond the translate's window W - |t| = 90 but within its
+    # relative slack, and it is the only partner of x, which lies in the
+    # mismatch window 89.95 (within its slack) and in the last ball
+    x, y = 89.95 + 4e-8, 100.0 + 4e-8 - 1e-9
+    base = np.arange(-99.0, 99.0) + 0.5
+    S = ak.PointSet(np.concatenate([base, [x, y]]).reshape(-1, 1), 100.0, 0.4)
+    T = ak.translate(S, [10.0])
+    assert np.any(T.points[:, 0] == y - 10.0) and y - 10.0 > T.window_radius
+    cand = np.array([[10.0], [-10.0], [0.3], [0.0]])
+    radii = [60.0, 89.95]
+    seen, want = assert_c5_matches_translates(monkeypatch, S, 0.05, cand,
+                                              radii)
+    assert seen["runs"] >= 1 and seen["grids"] == 0
+    # without y, x is unmatched at t = 10 and the last ball counts it
+    S_without = ak.PointSet(np.concatenate([base, [x]]).reshape(-1, 1),
+                            100.0, 0.4)
+    assert c5_reference(S_without, 0.05, cand[:1], radii)[0] > want[0]
+
+
+def test_one_pass_c5_equals_translates_2d(monkeypatch, pair_block):
+    S = ak.cut_and_project(octagonal_config(
+        12.0, np.random.default_rng(3).random(4)))
+    rng = np.random.default_rng(6)
+    diffs = (S.points[rng.integers(0, len(S), 80)]
+             - S.points[rng.integers(0, len(S), 80)])
+    keep = np.sqrt(np.sum(diffs ** 2, axis=1)) < 2.5
+    cand = np.vstack([[[0.0, 0.0]], diffs[keep],
+                      rng.uniform(-1.7, 1.7, (120, 2))])
+    assert len(diffraction._row_blocks(len(cand), len(S))) > 1
+    seen, want = assert_c5_matches_translates(monkeypatch, S, 0.3, cand,
+                                              [4.0, 6.0, 8.0])
+    assert seen["runs"] == 0 and seen["grids"] == 1
+    assert min(want) < 0.3 < max(want)
+
+
+@pytest.mark.parametrize("eps, cand, error", [
+    (0.0, [[1.0]], ak.InvalidArgument),
+    (-0.5, [[1.0], [131.2]], ak.InvalidArgument),
+    # a negative eps widens the schedule check; |t| > W then fails first
+    (-0.5, [[131.2], [1.0]], ak.TranslationExceedsWindow),
+])
+def test_one_pass_c5_raises_what_the_translates_raise(eps, cand, error):
+    S = z_lattice(131.0)
+    radii = [0.1, 0.2]
+    with pytest.raises(error) as want:
+        c5_reference(S, eps, cand, radii)
+    with pytest.raises(error) as got:
+        ak.criterion_almost_periods(S, eps, cand, radii, gap_bound=20.0)
+    assert str(got.value) == str(want.value)
 
 
 def almost_period_criteria():

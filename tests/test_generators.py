@@ -150,19 +150,22 @@ STRIP_CONFIGS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:no E-basis vector")
-@pytest.mark.parametrize("leaf_rows", [16, 4_096])
-@pytest.mark.parametrize("name", sorted(STRIP_CONFIGS))
-def test_pruned_strip_equals_one_box_scan(monkeypatch, name, leaf_rows):
-    monkeypatch.setattr(generators, "_LEAF_ROWS", leaf_rows)
-    cfg = STRIP_CONFIGS[name]()
+def assert_strip_matches_brute(cfg):
     got, grazes = generators._enumerate_strip(cfg)
     want, want_grazes = oracles.brute_strip_points(cfg)
     assert grazes == want_grazes
-    assert len(got) == len(want)
     got = got[np.lexsort(got.T[::-1])]
     want = want[np.lexsort(want.T[::-1])]
     assert got.tobytes() == want.tobytes()
+    return len(got), grazes
+
+
+@pytest.mark.parametrize("leaf_rows", [16, 4_096])
+@pytest.mark.parametrize("name", sorted(STRIP_CONFIGS))
+def test_pruned_strip_equals_one_box_scan(monkeypatch, name, leaf_rows):
+    monkeypatch.setattr(generators, "_strip_cells", {})
+    monkeypatch.setattr(generators, "_LEAF_ROWS", leaf_rows)
+    assert_strip_matches_brute(STRIP_CONFIGS[name]())
 
 
 @pytest.mark.parametrize("name, points, grazes", [
@@ -174,13 +177,14 @@ def test_strip_configs_reach_their_cases(name, points, grazes):
     assert (len(got), n_grazes) == (points, grazes)
 
 
-@pytest.mark.filterwarnings("ignore:no E-basis vector")
 def test_octagonal_strip_scan_is_pruned(monkeypatch):
-    # the benchmark's 8-fold set: the full box holds 61**4 = 13,845,841 rows
+    # the benchmark's 8-fold set: the full box holds 61**4 = 13,845,841 rows;
+    # its cell of offsets [0, 1)^4 keeps under 50,000 of them
+    monkeypatch.setattr(generators, "_strip_cells", {})
     scanned = count_scanned_rows(monkeypatch)
     S = ak.cut_and_project(octagonal_config(30.0, np.random.default_rng(0).random(4)))
     assert len(S) == 3194
-    assert scanned[0] <= 1_500_000
+    assert 0 < scanned[0] <= 50_000
 
 
 def test_make_lattice_refuses_a_box_over_the_limit(monkeypatch):
@@ -196,6 +200,156 @@ def test_strip_refuses_a_box_over_the_limit(monkeypatch):
     monkeypatch.setattr(generators, "_ENUM_LIMIT", 100)
     with pytest.raises(ak.ConfigError, match="would scan"):
         fib_points(20.0)
+
+
+# ---------------------------------------------------------------------------
+# strip rows read per unit cell of offsets, against one box scan
+
+
+def cell_offsets(cell, n: int, rng) -> list:
+    """Offsets spread over the unit cell [cell, cell + 1)^n and its corners,
+    each rounded into the cell."""
+    low = np.asarray(cell, dtype=float)
+    top = np.nextafter(low + 1.0, -np.inf)
+    corners = [np.where(c, top, low) for c in itertools.product((0, 1), repeat=n)]
+    return corners + [np.minimum(low + u, top) for u in rng.random((6, n))]
+
+
+def tangent_window_config(output_radius: float) -> ak.CutProjectConfig:
+    """The octagonal strip with a ball window tangent to the line of
+    translates (1, 0, -1, s) + u at s = 0."""
+    cfg = octagonal_config(output_radius, np.array([0.3, 0.1, 0.7, 0.45]))
+    w0 = cfg.F_basis @ (np.array([1.0, 0.0, -1.0, 0.0]) + cfg.torus_offset)
+    along = cfg.F_basis[:, -1]
+    normal = np.array([-along[1], along[0]]) / np.linalg.norm(along)
+    return dataclasses.replace(
+        cfg, window=ak.RegionSpec.ball(w0 + 0.6 * normal, 0.6))
+
+
+STRIP_CELL_CASES = {
+    "fibonacci_box": (lambda: ak.fibonacci_config(25.0), [(0, 0)]),
+    "fibonacci_ball": (lambda: dataclasses.replace(
+        ak.fibonacci_config(25.0), window=ak.RegionSpec.ball([0.3], 0.72)),
+        [(0, 0), (-3, 2)]),
+    "fibonacci_deformed": (lambda: ak.fibonacci_config(
+        25.0, deformation=ak.SinusoidalDeformation([0.15], [1.3], 0.4)),
+        [(0, 0)]),
+    "fibonacci_far": (lambda: ak.fibonacci_config(25.0),
+                      [(-7, -12), (12345, -54322)]),
+    "octagonal_ball": (lambda: octagonal_config(5.0), [(0,) * 4, (-2, 5, -1, 3)]),
+    "octagonal_box": (lambda: box_window_config(4.0, (0.0,) * 4),
+                      [(0,) * 4, (1000, -1000, 7, -3)]),
+}
+
+
+@pytest.mark.parametrize("leaf_rows", [16, 4_096])
+@pytest.mark.parametrize("name", sorted(STRIP_CELL_CASES))
+def test_strip_cells_equal_one_box_scan(monkeypatch, name, leaf_rows):
+    monkeypatch.setattr(generators, "_strip_cells", {})
+    monkeypatch.setattr(generators, "_LEAF_ROWS", leaf_rows)
+    make, cells = STRIP_CELL_CASES[name]
+    rng = np.random.default_rng(len(name))
+    scanned = count_scanned_rows(monkeypatch)
+    points = 0
+    for cell in cells:
+        for i, u in enumerate(cell_offsets(cell, make().n, rng)):
+            before = scanned[0]
+            points += assert_strip_matches_brute(
+                dataclasses.replace(make(), torus_offset=u))[0]
+            # the cell's first offset scans its rows; the others read them
+            assert (scanned[0] > before) == (i == 0)
+    assert points > 0
+
+
+@pytest.mark.parametrize("leaf_rows", [16, 4_096])
+def test_strip_cell_on_a_tangent_line_equals_one_box_scan(monkeypatch,
+                                                          leaf_rows):
+    monkeypatch.setattr(generators, "_strip_cells", {})
+    monkeypatch.setattr(generators, "_LEAF_ROWS", leaf_rows)
+    cfg = tangent_window_config(5.0)
+    w0 = cfg.F_basis @ (np.array([1.0, 0.0, -1.0, 0.0]) + cfg.torus_offset)
+    assert np.linalg.norm(w0 - cfg.window.center) == pytest.approx(0.6,
+                                                                   abs=1e-15)
+    assert assert_strip_matches_brute(cfg)[0] > 0
+
+
+def test_strip_refusal_comes_before_any_row(monkeypatch):
+    cfg = ak.fibonacci_config(20.0)
+    generators._enumerate_strip(cfg)   # the cell's rows are cached now
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("strip rows were read")
+
+    monkeypatch.setattr(generators, "_ENUM_LIMIT", 100)
+    for name in ("_strip_rows", "_pruned_leaves"):
+        monkeypatch.setattr(generators, name, no_rows)
+    with pytest.raises(ak.ConfigError, match="would scan 1849 lattice points"):
+        generators._enumerate_strip(cfg)
+    monkeypatch.setattr(generators, "_strip_cells", {})
+    with pytest.raises(ak.ConfigError, match="would scan"):
+        ak.cut_and_project(ak.fibonacci_config(30.0, torus_offset=(0.5, 0.5)))
+
+
+def test_strip_cache_is_read_only_and_bounded(monkeypatch):
+    monkeypatch.setattr(generators, "_strip_cells", {})
+    monkeypatch.setattr(generators, "_STRIP_CACHE_ROWS", 700)
+    rng = np.random.default_rng(2)
+    for k in range(6):
+        u = np.array([k, -k]) + rng.random(2)
+        assert_strip_matches_brute(ak.fibonacci_config(25.0, torus_offset=u))
+        cells = generators._strip_cells
+        assert 0 < sum(len(b) for blocks in cells.values() for b in blocks) <= 700
+    # six cells of about 230 rows each: the oldest were evicted
+    assert 1 < len(generators._strip_cells) < 6
+    for blocks in generators._strip_cells.values():
+        for block in blocks:
+            assert not block.flags.writeable
+            with pytest.raises(ValueError):
+                block[0, 0] = 0
+    # a cell larger than the whole cache streams uncached
+    before = dict(generators._strip_cells)
+    assert assert_strip_matches_brute(octagonal_config(5.0))[0] > 50
+    assert generators._strip_cells == before
+
+
+def test_leaf_rows_keep_every_row_of_a_tangent_line(monkeypatch):
+    # |x| <= r with r = 5: the lines x0 = +-5 touch the disc at one row,
+    # and r one ulp either side moves that row in or out of the exact set
+    monkeypatch.setattr(generators, "_LEAF_ROWS", 16)
+    lo, hi = np.array([-7, -7]), np.array([7, 7])
+    box = np.array(list(itertools.product(range(-7, 8), repeat=2)))
+    for r in (np.nextafter(5.0, 0.0), 5.0, np.nextafter(5.0, 9.0)):
+        bounds = [(np.eye(2), np.zeros(2), r)]
+        rows = np.concatenate(list(generators._pruned_leaves(lo, hi, bounds)))
+        wanted = box[np.sum(box ** 2, axis=1) <= r * r]
+        assert {tuple(x) for x in wanted} <= {tuple(x) for x in rows}
+        assert ((5, 0) in {tuple(x) for x in rows}) and len(rows) < len(box)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("leaf_rows", [1, 16, 4_096])
+def test_leaf_rows_keep_every_wanted_row(monkeypatch, dim, leaf_rows):
+    monkeypatch.setattr(generators, "_LEAF_ROWS", leaf_rows)
+    rng = np.random.default_rng(dim)
+    k = {1: 40, 2: 12, 3: 6, 4: 4}[dim]
+    lo, hi = np.full(dim, -k), np.full(dim, k)
+    box = np.array(list(itertools.product(range(-k, k + 1), repeat=dim)))
+    for _ in range(5):
+        bounds = [(rng.standard_normal((rng.integers(1, 3), dim)),
+                   rng.standard_normal(1) * 2.0, float(rng.uniform(1.0, 3.0)))
+                  for _ in range(2)]
+        bounds = [(M, np.resize(c, len(M)), r) for M, c, r in bounds]
+        rows = list(generators._pruned_leaves(lo, hi, bounds))
+        got = np.concatenate(rows) if rows else np.empty((0, dim), np.int64)
+        wanted = np.ones(len(box), dtype=bool)
+        for M, c, r in bounds:
+            wanted &= np.sqrt(np.sum((box @ M.T - c) ** 2, axis=1)) <= r
+        assert {tuple(x) for x in box[wanted]} <= {tuple(x) for x in got}
+        # each leaf's rows come in row-major order, inside the box
+        for leaf in rows:
+            assert np.all((leaf >= lo) & (leaf <= hi))
+            assert np.array_equal(np.lexsort(leaf.T[::-1]), np.arange(len(leaf)))
+        assert len(got) <= len(box)
 
 
 def test_lattice_covolume():
@@ -305,19 +459,6 @@ def test_graze_counting_projection_returns_count_without_warning():
     assert np.array_equal(S.points, fib_points(50.0).points)
 
 
-def test_graze_counting_projection_re_emits_other_warnings():
-    # rational slope: the irrationality heuristic must still be heard
-    s = 1.0 / math.sqrt(2.0)
-    cfg = ak.CutProjectConfig(
-        n=2, E_basis=[[s, s]], F_basis=[[-s, s]],
-        window=ak.RegionSpec.box([-0.5], [0.5]), output_radius=10.0)
-    with pytest.warns(UserWarning, match="irrationality") as record:
-        S, grazes = _project_counting_grazes(cfg)
-    assert grazes == 0
-    assert not any(isinstance(w.message, ak.WindowGraze) for w in record)
-    assert len(S) > 0
-
-
 def test_cut_and_project_is_faithful_under_enlargement():
     small = fib_points(80.0)
     large = fib_points(130.0)
@@ -353,9 +494,8 @@ def test_cut_and_project_collision_raises():
     cfg = ak.CutProjectConfig(
         n=2, E_basis=[[0.0, 1.0]], F_basis=[[1.0, 0.0]],
         window=ak.RegionSpec.box([-0.25], [1.25]), output_radius=10.0)
-    with pytest.warns(UserWarning):
-        with pytest.raises(ak.NotUniformlyDiscrete):
-            ak.cut_and_project(cfg)
+    with pytest.raises(ak.NotUniformlyDiscrete):
+        ak.cut_and_project(cfg)
 
 
 def test_cut_project_config_validation():
@@ -540,8 +680,7 @@ def test_sampler_distribution_is_stationary():
 
 
 def octagonal_config(output_radius: float, offset=(0.0,) * 4) -> ak.CutProjectConfig:
-    # the 8-fold strip; its E rows hold zeros and equal entries, which the
-    # irrationality heuristic flags
+    # the 8-fold strip
     s = 1.0 / math.sqrt(2.0)
     E = [[s * math.cos(j * math.pi / 4) for j in range(4)],
          [s * math.sin(j * math.pi / 4) for j in range(4)]]
@@ -587,7 +726,6 @@ SEPARATION_SAMPLERS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:no E-basis vector")
 @pytest.mark.parametrize("name", sorted(SEPARATION_SAMPLERS))
 def test_sampler_output_separated_by_brute_force(name):
     for seed in range(50):
@@ -600,7 +738,75 @@ def test_matern_oracle_draws_thin_something():
     assert len(ak.sample(p, 0)) < p.intensity * ak.ball_volume(2, 4.0)
 
 
-@pytest.mark.filterwarnings("ignore:no E-basis vector")
+def grid_thinned_matern(p: ak.ProcessSampler, index: int) -> np.ndarray:
+    """A Matern II sample thinned over a grid's pair list, as sample() did
+    in every dimension: the same proposals and marks, then the points in
+    the window, sorted."""
+    rng = generators._rng(p, index)
+    dim, W, r = p.dim, p.window_radius, p.hardcore
+    n = int(rng.poisson(p.intensity * ak.ball_volume(dim, W + r)))
+    props = generators._uniform_in_ball(rng, n, dim, W + r)
+    marks = rng.random(n)
+    if n:
+        qi, pi = GridIndex(props, r).pairs_within(props, r)
+        older = (marks[pi] < marks[qi]) | ((marks[pi] == marks[qi]) & (pi < qi))
+        killed = np.zeros(n, dtype=bool)
+        np.logical_or.at(killed, qi, older)
+        props = props[~killed]
+    pts = props[np.sum(props ** 2, axis=1) <= W * W * (1 + 1e-12)]
+    return pts[np.lexsort(pts.T[::-1])]
+
+
+def count_grid_builds(monkeypatch) -> list:
+    builds = [0]
+    build = GridIndex.__init__
+
+    def counting(self, *args):
+        builds[0] += 1
+        build(self, *args)
+
+    monkeypatch.setattr(GridIndex, "__init__", counting)
+    return builds
+
+
+def test_sorted_pairs_equal_the_grid_pairs_at_the_radius():
+    # spacings exactly r, just above r (inside the runs' rounding pad) and
+    # just below it, in shuffled row order
+    r = 0.3
+    steps = np.array([r, r * (1 + 5e-10), r * (1 - 5e-10), r, 0.7 * r, 2 * r])
+    pts = np.cumsum(np.tile(steps, 5))[np.random.default_rng(1).permutation(30)]
+    pts = (pts - 4.0).reshape(-1, 1)
+    got = generators._pairs_within_sorted(pts, r)
+    want = GridIndex(pts, r).pairs_within(pts, r)
+    assert sorted(zip(*got)) == sorted(zip(*want))
+    assert len(want[0]) > len(pts)   # pairs other than the point itself
+
+
+@pytest.mark.parametrize("intensity, hardcore", [(2.5, 0.4), (6.0, 1.3)])
+def test_matern_1d_thinning_equals_the_grid_thinned_reference(
+        monkeypatch, intensity, hardcore):
+    p = ak.ProcessSampler("matern_II", 17, 12.0, intensity=intensity,
+                          hardcore=hardcore)
+    want = [grid_thinned_matern(p, i) for i in range(240)]
+    builds = count_grid_builds(monkeypatch)
+    got = [ak.sample(p, i).points for i in range(240)]
+    assert builds[0] == 0   # runs of the sorted proposals, no grid
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    # thinning happened
+    proposals = intensity * ak.ball_volume(1, 12.0 + hardcore) * 240
+    assert sum(map(len, got)) < 0.9 * proposals
+
+
+def test_matern_2d_thinning_keeps_its_grid(monkeypatch):
+    p = ak.ProcessSampler("matern_II", 4, 4.0, intensity=3.0, hardcore=0.4,
+                          dim=2)
+    want = [grid_thinned_matern(p, i) for i in range(20)]
+    builds = count_grid_builds(monkeypatch)
+    got = [ak.sample(p, i).points for i in range(20)]
+    assert builds[0] == 20
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
 def test_cut_and_project_octagonal_separated_by_brute_force():
     for offset in ((0.0,) * 4, (0.1, 0.2, 0.3, 0.4)):
         S = ak.cut_and_project(octagonal_config(5.0, offset))

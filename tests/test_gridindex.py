@@ -175,9 +175,10 @@ def test_runs_of_an_empty_and_a_one_point_index(dim):
     assert np.all(np.isinf(empty.nn_d2(queries)))
     pts = np.full((1, dim), 0.25)
     one = GridIndex(pts, 1.0)
-    assert np.array_equal(one._starts, [0, 1])
     lens = assert_lookups_match_reference(one, pts, 1.0, cells_around(pts, 1.0),
                                           gridindex._cube(1, dim))
+    # the start table is built by the first walk
+    assert np.array_equal(one._starts, [0, 1])
     assert lens.sum() > 0
     assert_same_pairs(one.pairs_within(queries, 2.0),
                       oracles.ref_pairs_within(pts, 1.0, queries, 2.0))
@@ -438,4 +439,40 @@ def test_grid_index_bad_arguments_are_invalid_argument():
         GridIndex(np.zeros(3), 1.0)
     with pytest.raises(ak.InvalidArgument):
         GridIndex(np.zeros((3, 1)), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# walk tables on first use; cell-offset cubes built once
+
+
+def test_a_grid_builds_its_tables_on_the_first_walk_only():
+    rng = np.random.default_rng(4)
+    pts = rng.uniform(-5.0, 5.0, size=(50, 1))
+    queries = rng.uniform(-7.0, 7.0, size=(20, 1))
+    grid = GridIndex(pts, 0.5)
+    assert np.array_equal(grid.nn_d2(queries, 2.0),
+                          oracles.brute_nn_d2(pts, queries, 2.0))
+    # a 1D nearest-distance search reads the sorted coordinates only
+    assert grid._order is None and grid._codes is None and grid._starts is None
+    assert_same_pairs(grid.pairs_within(queries, 0.7),
+                      oracles.ref_pairs_within(pts, 0.5, queries, 0.7))
+    assert grid._order is not None and grid._starts is not None
+
+
+@pytest.mark.parametrize("pts, cell, text", [
+    ([[0.0], [1e300]], 1.0, "cell coordinates out of range"),
+    ([[0.0, 0.0], [1e10, 1e10]], 1e-3, "cell_size too fine"),
+])
+def test_grid_range_errors_raise_at_construction(pts, cell, text):
+    with pytest.raises(ak.InvalidArgument, match=text):
+        GridIndex(np.array(pts), cell)
+
+
+def test_small_cubes_are_cached_read_only():
+    cube = gridindex._cube(1, 2)
+    assert gridindex._cube(1, 2) is cube and not cube.flags.writeable
+    assert np.array_equal(cube, [[i, j] for i in (-1, 0, 1) for j in (-1, 0, 1)])
+    big = gridindex._cube(150, 2)   # 301**2 * 2 entries: built per call
+    assert big is not gridindex._cube(150, 2) and not big.flags.writeable
+    assert len(big) == 301 ** 2
 

@@ -287,6 +287,26 @@ def test_dbar_c_2d_node_blocks_match_brute(monkeypatch, block):
                                        for rr in rep.radius_schedule]
 
 
+def test_covering_scale_leaves_out_points_the_translate_clips():
+    # S's window (10) is smaller than S2's (20). The point -9.5 of S has no
+    # partner in S2; at t = 2 and t = 1 it lies beyond S - t's window
+    # (|x - t| = 11.5 > 8 and 10.5 > 9) but inside the other window's reach
+    # with 1/n > tol, so only the clip keeps it from setting the scale
+    tol = 0.01
+    S = ak.PointSet([[-9.5], [-5.0], [0.0], [3.0], [7.0]], 10.0, 1.0)
+    S2 = ak.PointSet([[-5.0], [0.0], [3.0], [7.0]], 20.0, 1.0)
+    nodes = np.array([[2.0], [1.0], [-2.0], [0.0]])
+    tnorm = np.abs(nodes[:, 0])
+    want = oracles.brute_dbar_c_nodes(S.points, S.window_radius, S2.points,
+                                      S2.window_radius, nodes, tol)
+    got = pointset._covering_scale(S, S2, nodes, tnorm, tol)
+    assert np.array_equal(got, want)
+    assert got[:2].tolist() == [tol, tol]
+    assert tol < 1.0 / 11.5 and tol < 1.0 / 10.5
+    # where the point is kept, it sets the scale at 1/n
+    assert got[2:].tolist() == [1.0 / 7.5, 1.0 / 9.5]
+
+
 # ---------------------------------------------------------------------------
 # dbar_f and mu_conv_f
 
